@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""CIFAR sweep: Conv-2/4/6, real vs quaternion, CIFAR-10 or CIFAR-100.
+"""Real-vs-quaternion sweep over the models defined for one dataset.
 
-Writes one result directory per (model, field).  The full ladders are
-multi-day runs on a laptop CPU; use --rounds/--trials/--subset to scale
-the experiment to the hardware at hand.
+mnist runs Lenet-300-100 and Lenet-12, cifar10 Conv-2/4/6, cifar100
+Conv-4/6.  Each (model, field) pair gets its own output directory holding
+training_curve.csv, sparsity_sweep.csv and manifest.json.  The defaults
+(5 trials, full pruning ladders) are multi-day runs on a laptop CPU; use
+--trials/--rounds/--subset to scale the experiment to the hardware at hand.
 """
 
 import argparse
@@ -11,28 +13,31 @@ import os
 import sys
 
 from qprune.harness import ExperimentConfig, emit_results, run_experiment
-
-CIFAR100_MODELS = ("conv4", "conv6")
+from qprune.models import _ALLOWED_DATASETS, DATASET_NAMES
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data", default="data/cifar10", help="directory with the binary batches")
-    parser.add_argument("--dataset", choices=["cifar10", "cifar100"], default="cifar10")
+    parser.add_argument("--dataset", choices=DATASET_NAMES, required=True)
+    parser.add_argument("--data", default=None, help="dataset directory (default data/<dataset>)")
     parser.add_argument("--out", default=None, help="output root (default results/<dataset>)")
-    parser.add_argument("--models", nargs="+", default=["conv2", "conv4", "conv6"])
+    parser.add_argument("--models", nargs="+", default=None,
+                        help="models to run (default: every model defined for the dataset)")
     parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--rounds", type=int, default=None)
+    parser.add_argument("--rounds", type=int, default=None, help="bound pruning iterations")
     parser.add_argument("--subset", type=int, default=0, help="train on first N images only")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--early-stop", action="store_true")
     args = parser.parse_args()
 
+    defined = [m for m, datasets in _ALLOWED_DATASETS.items() if args.dataset in datasets]
+    models = args.models or defined
+    undefined = [m for m in models if m not in defined]
+    if undefined:
+        parser.error(f"{undefined} not defined for {args.dataset}; choose from {defined}")
+    data_dir = args.data or os.path.join("data", args.dataset)
     out_root = args.out or os.path.join("results", args.dataset)
-    models = args.models
-    if args.dataset == "cifar100":
-        models = [m for m in models if m in CIFAR100_MODELS]
 
     for model in models:
         for field in ("real", "quat"):
@@ -40,7 +45,7 @@ def main() -> int:
                 model, args.dataset, field,
                 trials=args.trials, rounds=args.rounds, workers=args.workers,
                 base_seed=args.seed, early_stop=args.early_stop or None,
-                train_subset=args.subset, data_dir=args.data,
+                train_subset=args.subset, data_dir=data_dir,
             )
             out_dir = os.path.join(out_root, f"{model}-{field}")
             print(f"== {model}/{args.dataset}/{field} -> {out_dir}")

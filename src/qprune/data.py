@@ -125,6 +125,8 @@ def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
             raise DataFormatError(
                 f"{img_path}: {images.shape[0]} images but {lbl_path} has {labels.shape[0]} labels"
             )
+        if images.shape[0] == 0:
+            raise DataFormatError(f"{img_path}: no images")
         images = (images.astype(np.float32) / 255.0)[:, None, :, :]
         out.append(Dataset(images, labels.astype(np.int64), 10))
     return out[0], out[1]
@@ -159,12 +161,15 @@ def load_cifar(directory: str, variant: int) -> tuple[Dataset, Dataset]:
         test_files = ["test.bin"]
 
     def load_split(names):
-        pixel_parts, label_parts = [], []
+        pixel_parts, label_parts, paths = [], [], []
         for name in names:
             path = _find(directory, name)
             px, lb = _parse_cifar_records(_read_file(path), path, record, label_offset)
             pixel_parts.append(px)
             label_parts.append(lb)
+            paths.append(path)
+        if not sum(len(lb) for lb in label_parts):
+            raise DataFormatError(f"{', '.join(paths)}: no images")
         images = np.concatenate(pixel_parts).astype(np.float32) / 255.0
         labels = np.concatenate(label_parts)
         return Dataset(images, labels, variant)
@@ -184,20 +189,6 @@ def add_grayscale_channel(img: np.ndarray) -> np.ndarray:
     gray = LUMA_R * x[:, 0] + LUMA_G * x[:, 1] + LUMA_B * x[:, 2]
     out = np.concatenate([x, gray[:, None].astype(x.dtype)], axis=1)
     return out if batched else out[0]
-
-
-def pack_quaternions_flat(v: np.ndarray) -> np.ndarray:
-    """Group a flat vector of length 4n into n quaternions, raster order.
-
-    Returns an [n, 4] array: row i holds the (r, x, y, z) components of
-    quaternion i, taken from consecutive entries 4i..4i+3 of ``v``.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"expected a flat vector, got shape {v.shape}")
-    if v.size % 4 != 0:
-        raise ValueError(f"vector length {v.size} is not divisible by 4")
-    return v.reshape(-1, 4)
 
 
 def split_train_validation(train: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -75,6 +75,12 @@ class ExperimentConfig:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.train_subset < 0:
+            raise ConfigError(f"train subset must be >= 0, got {self.train_subset}")
+        if self.rounds is not None and self.rounds < 0:
+            raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
+        if self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
     def spec(self) -> ModelSpec:
         return model_spec(self.model, self.dataset, self.field)
@@ -154,11 +160,7 @@ def run_trial(
         early_stop=config.early_stop,
         patience=config.patience,
     )
-    schedule = PruneSchedule(
-        rate=config.prune_rate,
-        stop_threshold=config.stop_threshold,
-        retrain_epochs=config.epochs,
-    )
+    schedule = PruneSchedule(rate=config.prune_rate, stop_threshold=config.stop_threshold)
 
     first_round = True
 

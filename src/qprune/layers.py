@@ -5,11 +5,13 @@ order: a vector of n quaternions is a real vector of length 4n whose first
 n entries are the r components; a feature map of c quaternion channels is a
 real map of 4c channels with the same plane layout.
 
-A quaternion layer keeps one real tensor per component (w_r, w_x, w_y, w_z)
-and assembles the 4x4-pattern block matrix inside the autodiff graph, so a
-single real matmul/conv performs the Hamilton-product arithmetic
-(weight on the left: o_j = sum_i w_ji (x) x_i + b_j) and gradients flow
-back into the shared components.
+A quaternion layer keeps one real tensor per component (w_r, w_x, w_y, w_z).
+One ``tensor.hamilton_block`` node lays them out in the sign pattern of
+``quaternion.as_matrix``, so a single real matmul/conv performs the
+Hamilton-product arithmetic (weight on the left: o_j = sum_i w_ji (x) x_i
++ b_j), and its backward sums each component's four signed gradient blocks.
+Activations use ReLU on every component, which on this storage is the
+plain elementwise ReLU.
 """
 
 from __future__ import annotations
@@ -98,25 +100,14 @@ class QuatLinear(Layer):
             ("b", self.b, False),
         ]
 
-    def _block_matrix(self) -> Tensor:
-        w_r, w_x, w_y, w_z = self.w_r, self.w_x, self.w_y, self.w_z
-        # Row blocks indexed by input component, columns by output component;
-        # entry (alpha, beta) carries the Hamilton coefficient of x_alpha in o_beta.
-        rows = [
-            T.concat([w_r, w_x, w_y, w_z], axis=1),
-            T.concat([T.neg(w_x), w_r, w_z, T.neg(w_y)], axis=1),
-            T.concat([T.neg(w_y), T.neg(w_z), w_r, w_x], axis=1),
-            T.concat([T.neg(w_z), w_y, T.neg(w_x), w_r], axis=1),
-        ]
-        return T.concat(rows, axis=0)  # [4*in_q, 4*out_q]
-
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != 4 * self.in_q:
             raise DimensionError(
                 f"quaternion linear fan-in {self.in_q} quaternions "
                 f"({4 * self.in_q} components), got input width {x.shape[1]}"
             )
-        return T.bias_add(T.matmul(x, self._block_matrix()), self.b)
+        weight = T.hamilton_block([self.w_r, self.w_x, self.w_y, self.w_z], out_axis=1)  # [4*in_q, 4*out_q]
+        return T.bias_add(T.matmul(x, weight), self.b)
 
 
 class QuatConv2d(Layer):
@@ -141,40 +132,19 @@ class QuatConv2d(Layer):
             ("b", self.b, False),
         ]
 
-    def _block_kernel(self) -> Tensor:
-        k_r, k_x, k_y, k_z = self.k_r, self.k_x, self.k_y, self.k_z
-        # Output-channel blocks follow the 4x4 matrix rows; input-channel
-        # blocks its columns.
-        rows = [
-            T.concat([k_r, T.neg(k_x), T.neg(k_y), T.neg(k_z)], axis=1),
-            T.concat([k_x, k_r, T.neg(k_z), k_y], axis=1),
-            T.concat([k_y, k_z, k_r, T.neg(k_x)], axis=1),
-            T.concat([k_z, T.neg(k_y), k_x, k_r], axis=1),
-        ]
-        return T.concat(rows, axis=0)  # [4*out_q, 4*in_q, 3, 3]
-
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != 4 * self.in_q:
             raise DimensionError(
                 f"quaternion conv expects {self.in_q} quaternion channels "
                 f"({4 * self.in_q} planes), got {x.shape[1]}"
             )
-        return T.bias_add(T.conv2d(x, self._block_kernel()), self.b)
+        kernel = T.hamilton_block([self.k_r, self.k_x, self.k_y, self.k_z], out_axis=0)  # [4*out_q, 4*in_q, 3, 3]
+        return T.bias_add(T.conv2d(x, kernel), self.b)
 
 
 class ReLU(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return T.relu(x)
-
-
-class SplitReLU(Layer):
-    """ReLU applied independently to each quaternion component.
-
-    On component-plane storage this is exactly the elementwise ReLU.
-    """
-
-    def forward(self, x: Tensor) -> Tensor:
-        return split_relu(x)
 
 
 class MaxPool2d(Layer):
@@ -185,8 +155,3 @@ class MaxPool2d(Layer):
 class Flatten(Layer):
     def forward(self, x: Tensor) -> Tensor:
         return T.flatten(x)
-
-
-def split_relu(x: Tensor) -> Tensor:
-    """Componentwise ReLU on quaternion activations (any plane layout)."""
-    return T.relu(x)

@@ -37,7 +37,6 @@ from .layers import (
     QuatConv2d,
     QuatLinear,
     ReLU,
-    SplitReLU,
 )
 from .tensor import Tensor
 
@@ -114,7 +113,7 @@ def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
             f"model {name!r} is defined for datasets {_ALLOWED_DATASETS[name]}, not {dataset!r}"
         )
     epochs, batch, lr = _TRAIN_DEFAULTS[name]
-    spec = ModelSpec(
+    return ModelSpec(
         name=name,
         dataset=dataset,
         field=field,
@@ -125,13 +124,6 @@ def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
         batch_size=batch,
         lr=lr,
     )
-    if field == "quat":
-        for width in list(spec.conv_plan) + list(spec.fc_plan):
-            if width != POOL and width % 4 != 0:
-                raise ConfigError(
-                    f"quaternion variant needs hidden widths divisible by 4, got {width}"
-                )
-    return spec
 
 
 class Network:
@@ -209,11 +201,10 @@ def _conv_stack(spec: ModelSpec, rng: np.random.Generator, dtype) -> tuple[list[
         if quat:
             out_ch = item // 4
             layers.append(QuatConv2d(in_ch, out_ch, rng, dtype))
-            layers.append(SplitReLU())
         else:
             out_ch = item
             layers.append(Conv2d(in_ch, out_ch, rng, dtype))
-            layers.append(ReLU())
+        layers.append(ReLU())
         in_ch = out_ch
     real_features = (4 if quat else 1) * in_ch * h * w
     return layers, real_features
@@ -249,10 +240,9 @@ def build_network(spec: ModelSpec, dtype=np.float32, rng=None, seed: int = 0) ->
     for fc_width in spec.fc_plan:
         if quat:
             layers.append(QuatLinear(width // 4, fc_width // 4, rng, dtype))
-            layers.append(SplitReLU())
         else:
             layers.append(Linear(width, fc_width, rng, dtype))
-            layers.append(ReLU())
+        layers.append(ReLU())
         width = fc_width
     # Output layer is real in both variants: class counts are not divisible by 4.
     layers.append(Linear(width, spec.classes, rng, dtype))

@@ -47,7 +47,6 @@ class PruneSchedule:
     rate: float = 0.2
     stop_threshold: float = 0.3
     consecutive_failures: int = 2
-    retrain_epochs: int | None = None  # None: the trainer's own epoch budget
 
     def __post_init__(self):
         if not (0.0 < self.rate < 1.0):

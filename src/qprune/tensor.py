@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, StateError
+from .quaternion import Quaternion, as_matrix
 
 _ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("qprune_active_tape", default=None)
 
@@ -210,17 +211,6 @@ def flatten(a: Tensor) -> Tensor:
     return reshape(a, (n, a.size // n))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T)
-
-    def backward(g):
-        a._accum_grad(g.T)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
@@ -233,6 +223,67 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 p._accum_grad(g[tuple(idx)])
+
+    return _maybe_record(out, parts, backward)
+
+
+# Block (out, in) of the Hamilton matrix is sign * w_c.  Both come from
+# ``as_matrix`` at the four unit quaternions, the one source of the sign
+# pattern: _UNIT_MATRICES[c, out, in] is the coefficient of component c.
+_UNIT_MATRICES = np.stack([as_matrix(Quaternion(*e)) for e in np.eye(4)])
+_COMPONENT = np.abs(_UNIT_MATRICES).argmax(axis=0)
+_SIGN = _UNIT_MATRICES.sum(axis=0).astype(int)
+# (component, sign) of block (a, b) per out_axis, as Python ints so that a
+# sign never promotes float32 data to float64.
+_BLOCK_TABLES = {
+    0: (_COMPONENT.tolist(), _SIGN.tolist()),
+    1: (_COMPONENT.T.tolist(), _SIGN.T.tolist()),
+}
+
+
+def hamilton_block(parts: Sequence[Tensor], out_axis: int) -> Tensor:
+    """Real block form of a quaternion weight from its (r, x, y, z) parts.
+
+    The four parts share one shape; the result has axes 0 and 1 four times
+    longer, and ``out_axis`` (0 or 1) names the one that indexes output
+    components.  Block (a, b) along them is sign * part[c], with (c, sign)
+    taken from ``as_matrix`` at (out, in) = (a, b) when out_axis is 0 and
+    (b, a) when it is 1.
+    """
+    parts = [_as_tensor(p) for p in parts]
+    shapes = [p.shape for p in parts]
+    if len(parts) != 4 or len(shapes[0]) < 2 or len(set(shapes)) != 1:
+        raise DimensionError(f"hamilton_block needs four parts of one shape, got {shapes}")
+    if out_axis not in _BLOCK_TABLES:
+        raise DimensionError(f"hamilton_block: out_axis must be 0 or 1, got {out_axis}")
+    component, sign = _BLOCK_TABLES[out_axis]
+    s0, s1, *rest = shapes[0]
+    split = (4, s0, 4, s1, *rest)  # block (a, b) is [a, :, b]
+    data = np.empty((4 * s0, 4 * s1, *rest), dtype=parts[0].dtype)
+    blocks = data.reshape(split)
+    for a in range(4):
+        for b in range(4):
+            np.multiply(parts[component[a][b]].data, sign[a][b], out=blocks[a, :, b])
+    out = Tensor(data)
+
+    def backward(g):
+        gb = g.reshape(split)
+        sums: list[Optional[np.ndarray]] = [None] * 4
+        # Each component occurs once per a.  Summing a = 3, 2, 1, 0 gives the
+        # same float32 bits as building the block from concat and neg nodes
+        # row by row, whose last row the tape visits first.
+        for a in (3, 2, 1, 0):
+            for b in range(4):
+                c, blk = component[a][b], gb[a, :, b]
+                if sums[c] is None:
+                    sums[c] = blk * sign[a][b]
+                elif sign[a][b] > 0:
+                    sums[c] += blk
+                else:
+                    sums[c] -= blk
+        for p, s in zip(parts, sums):
+            if p._needs_grad():
+                p._accum_grad(s)
 
     return _maybe_record(out, parts, backward)
 

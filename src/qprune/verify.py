@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .layers import Linear, QuatConv2d, QuatLinear
+from .layers import Conv2d, Flatten, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from .models import build_network, count_parameters, model_spec
 from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
@@ -163,8 +163,6 @@ def _grad_check_net(net_layers, x: np.ndarray, labels: np.ndarray, h: float = 1e
 
 def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     """Finite-difference check per layer family, in 64-bit mode."""
-    from .layers import Conv2d, Flatten, MaxPool2d, ReLU, SplitReLU
-
     rng = np.random.default_rng(seed)
     f64 = np.float64
     results = {}
@@ -175,10 +173,10 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     layers = [Conv2d(2, 3, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(12, 4, rng, f64)]
     results["conv"] = _grad_check_net(layers, rng.standard_normal((2, 2, 4, 4)), np.array([2, 0]))
 
-    layers = [QuatLinear(3, 2, rng, f64), SplitReLU(), Linear(8, 3, rng, f64)]
+    layers = [QuatLinear(3, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
     results["qlinear"] = _grad_check_net(layers, rng.standard_normal((3, 12)), np.array([0, 2, 1]))
 
-    layers = [QuatConv2d(1, 2, rng, f64), SplitReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, f64)]
+    layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, f64)]
     results["qconv"] = _grad_check_net(layers, rng.standard_normal((2, 4, 4, 4)), np.array([1, 0]))
 
     logits = Tensor(rng.standard_normal((4, 5)), requires_grad=True)

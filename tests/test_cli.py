@@ -17,6 +17,21 @@ def test_bad_combo_exits_1(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--train-subset", "-500", "train subset"), ("--rounds", "-3", "rounds"), ("--patience", "0", "patience")],
+)
+def test_bad_numeric_flag_exits_1(tmp_path, capsys, flag, value, message):
+    rc = main([
+        "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / "out"), flag, value,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_data_dir_exits_2(tmp_path, capsys):
     rc = main([
         "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
@@ -25,6 +40,17 @@ def test_missing_data_dir_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_empty_test_split_exits_2(tmp_path, capsys):
+    make_mnist_files(tmp_path, n_train=60, n_test=0)
+    rc = main([
+        "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+        "--trials", "1", "--epochs", "1", "--rounds", "0",
+    ])
+    assert rc == 2
+    assert "t10k-images-idx3-ubyte: no images" in capsys.readouterr().err
 
 
 def test_end_to_end_run_on_synthetic_mnist(tmp_path, capsys):

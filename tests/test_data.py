@@ -14,7 +14,6 @@ from qprune.data import (
     add_grayscale_channel,
     load_cifar,
     load_mnist,
-    pack_quaternions_flat,
     split_train_validation,
 )
 from qprune.errors import DataFormatError, DimensionError
@@ -87,6 +86,12 @@ def test_missing_file_reported(tmp_path):
         load_mnist(str(tmp_path))
 
 
+def test_empty_mnist_split_rejected(tmp_path):
+    make_mnist_files(tmp_path, n_train=10, n_test=0)
+    with pytest.raises(DataFormatError, match="t10k-images-idx3-ubyte: no images"):
+        load_mnist(str(tmp_path))
+
+
 # ---------------------------------------------------------------------------
 # CIFAR binaries
 
@@ -153,6 +158,13 @@ def test_truncated_cifar_record_rejected(tmp_path):
         load_cifar(str(tmp_path), 10)
 
 
+def test_empty_cifar_split_rejected(tmp_path):
+    make_cifar10_files(tmp_path, per_batch=2)
+    (tmp_path / "test_batch.bin").write_bytes(b"")
+    with pytest.raises(DataFormatError, match="test_batch.bin: no images"):
+        load_cifar(str(tmp_path), 10)
+
+
 def test_cifar_nested_directory_convention(tmp_path):
     make_cifar10_files(tmp_path / "cifar-10-batches-bin", per_batch=2)
     train, test = load_cifar(str(tmp_path), 10)
@@ -203,32 +215,6 @@ def test_grayscale_is_convex_combination(rgb):
     gray = add_grayscale_channel(img)[3, 0, 0]
     assert min(rgb) - 1e-9 <= gray <= max(rgb) + 1e-9
     assert 0.0 <= gray <= 1.0 + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# quaternion packing
-
-
-def test_pack_784_pixels_into_196_quaternions():
-    q = pack_quaternions_flat(np.arange(784.0))
-    assert q.shape == (196, 4)
-
-
-def test_pack_example_groups():
-    q = pack_quaternions_flat(np.array([1.0, 2, 3, 4, 5, 6, 7, 8]))
-    np.testing.assert_array_equal(q, [[1, 2, 3, 4], [5, 6, 7, 8]])
-
-
-def test_pack_rejects_length_not_divisible_by_four():
-    with pytest.raises(ValueError, match="divisible by 4"):
-        pack_quaternions_flat(np.zeros(7))
-
-
-@settings(max_examples=50)
-@given(st.integers(1, 50))
-def test_pack_shape_property(n):
-    q = pack_quaternions_flat(np.zeros(4 * n))
-    assert q.shape == (n, 4)
 
 
 # ---------------------------------------------------------------------------

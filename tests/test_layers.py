@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from qprune import tensor as T
 from qprune.errors import DimensionError
-from qprune.layers import Conv2d, Linear, QuatConv2d, QuatLinear, split_relu
+from qprune.layers import Conv2d, Linear, QuatConv2d, QuatLinear, ReLU
 from qprune.quaternion import Quaternion, as_matrix
-from qprune.tensor import Tensor
+from qprune.tensor import Tape, Tensor
 from qprune.verify import qconv_oracle, qlinear_oracle
 
 
@@ -113,18 +114,18 @@ def test_qconv_channel_mismatch():
 
 
 def test_split_relu_per_component():
-    out = split_relu(Tensor(np.array([-1.0, 2.0, -3.0, 4.0])))
+    out = ReLU().forward(Tensor(np.array([-1.0, 2.0, -3.0, 4.0])))
     np.testing.assert_array_equal(out.data, [0.0, 2.0, 0.0, 4.0])
 
 
 def test_split_relu_all_negative_gives_zero_quaternion():
-    out = split_relu(Tensor(np.array([-1.0, -2.0, -3.0, -4.0])))
+    out = ReLU().forward(Tensor(np.array([-1.0, -2.0, -3.0, -4.0])))
     np.testing.assert_array_equal(out.data, np.zeros(4))
 
 
 def test_split_relu_nonnegative_unchanged():
     x = np.array([0.0, 2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(split_relu(Tensor(x)).data, x)
+    np.testing.assert_array_equal(ReLU().forward(Tensor(x)).data, x)
 
 
 def test_real_and_quat_layers_emit_same_logit_shape():
@@ -145,3 +146,93 @@ def test_parameter_counts_per_layer():
     assert ql.b.size == 4 * 75
     c = Conv2d(3, 64, rng)
     assert c.k.size == 3 * 64 * 9
+
+
+# ---------------------------------------------------------------------------
+# hamilton_block against a block assembled from concat and neg nodes
+
+
+def concat_linear_block(w_r, w_x, w_y, w_z):
+    # Row blocks indexed by input component, columns by output component.
+    rows = [
+        T.concat([w_r, w_x, w_y, w_z], axis=1),
+        T.concat([T.neg(w_x), w_r, w_z, T.neg(w_y)], axis=1),
+        T.concat([T.neg(w_y), T.neg(w_z), w_r, w_x], axis=1),
+        T.concat([T.neg(w_z), w_y, T.neg(w_x), w_r], axis=1),
+    ]
+    return T.concat(rows, axis=0)
+
+
+def concat_conv_block(k_r, k_x, k_y, k_z):
+    # Row blocks indexed by output component, columns by input component.
+    rows = [
+        T.concat([k_r, T.neg(k_x), T.neg(k_y), T.neg(k_z)], axis=1),
+        T.concat([k_x, k_r, T.neg(k_z), k_y], axis=1),
+        T.concat([k_y, k_z, k_r, T.neg(k_x)], axis=1),
+        T.concat([k_z, T.neg(k_y), k_x, k_r], axis=1),
+    ]
+    return T.concat(rows, axis=0)
+
+
+def float32_step(layer, x, forward):
+    """Output and parameter gradients of sum(forward(x) * probe)."""
+    probe = np.random.default_rng(9).standard_normal(forward(Tensor(x)).shape).astype(np.float32)
+    with Tape() as tape:
+        out = forward(Tensor(x))
+        loss = T.sum_all(T.mul(out, Tensor(probe)))
+    tape.backward(loss)
+    grads = [t.grad.copy() for _, t, _ in layer.params()]
+    for _, t, _ in layer.params():
+        t.zero_grad()
+    return out.data, grads
+
+
+def assert_same_bits(layer, x, reference_forward):
+    got_out, got_grads = float32_step(layer, x, layer.forward)
+    want_out, want_grads = float32_step(layer, x, reference_forward)
+    assert got_out.dtype == np.float32
+    np.testing.assert_array_equal(got_out, want_out)
+    for got, want in zip(got_grads, want_grads):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+def test_qlinear_hamilton_block_matches_concat_assembly_bitwise():
+    layer = QuatLinear(7, 5, np.random.default_rng(10))
+    layer.b.data[:] = np.random.default_rng(11).standard_normal(20)
+    x = np.random.default_rng(12).standard_normal((6, 28)).astype(np.float32)
+
+    def reference(inp):
+        w = concat_linear_block(layer.w_r, layer.w_x, layer.w_y, layer.w_z)
+        return T.bias_add(T.matmul(inp, w), layer.b)
+
+    assert_same_bits(layer, x, reference)
+
+
+def test_qconv_hamilton_block_matches_concat_assembly_bitwise():
+    layer = QuatConv2d(2, 3, np.random.default_rng(13))
+    layer.b.data[:] = np.random.default_rng(14).standard_normal(12)
+    x = np.random.default_rng(15).standard_normal((2, 8, 6, 6)).astype(np.float32)
+
+    def reference(inp):
+        k = concat_conv_block(layer.k_r, layer.k_x, layer.k_y, layer.k_z)
+        return T.bias_add(T.conv2d(inp, k), layer.b)
+
+    assert_same_bits(layer, x, reference)
+
+
+def test_qlinear_forward_records_three_tape_nodes():
+    layer = QuatLinear(3, 2, np.random.default_rng(0))
+    with Tape() as tape:
+        layer.forward(Tensor(np.zeros((1, 12), dtype=np.float32)))
+        assert len(tape) == 3  # hamilton_block, matmul, bias_add
+
+
+def test_hamilton_block_rejects_mismatched_parts_and_axis():
+    parts = [Tensor(np.zeros((2, 3))) for _ in range(4)]
+    with pytest.raises(DimensionError, match="four parts"):
+        T.hamilton_block(parts[:3], out_axis=0)
+    with pytest.raises(DimensionError, match="four parts"):
+        T.hamilton_block(parts[:3] + [Tensor(np.zeros((3, 2)))], out_axis=0)
+    with pytest.raises(DimensionError, match="out_axis"):
+        T.hamilton_block(parts, out_axis=2)
