@@ -117,6 +117,10 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         train_set, test_set = load_mnist(config.data_dir)
     else:
         train_set, test_set = load_cifar(config.data_dir, 10 if config.dataset == "cifar10" else 100)
+    if config.train_subset > len(train_set):
+        raise ConfigError(
+            f"train subset {config.train_subset} exceeds the {len(train_set)} images of the training split"
+        )
     if config.train_subset:
         train_set = train_set.subset(config.train_subset)
     return train_set, test_set

@@ -54,11 +54,16 @@ class Tensor:
     def _needs_grad(self) -> bool:
         return self.requires_grad or self._recorded
 
-    def _accum_grad(self, g: np.ndarray) -> None:
-        # Always copy on first contribution: backward rules may hand out
-        # views or share one buffer between parents.
+    def _accum_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to ``.grad``.  A first contribution is copied unless the
+        backward rule marks it ``owned``: a fresh array it built for this
+        tensor alone.  Views and buffers shared between parents are copied,
+        since ``.grad`` is later added to in place."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -158,9 +163,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a._needs_grad():
-            a._accum_grad(g * b.data)
+            a._accum_grad(g * b.data, owned=True)
         if b._needs_grad():
-            b._accum_grad(g * a.data)
+            b._accum_grad(g * a.data, owned=True)
 
     return _maybe_record(out, (a, b), backward)
 
@@ -169,7 +174,7 @@ def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
 
     def backward(g):
-        a._accum_grad(-g)
+        a._accum_grad(-g, owned=True)
 
     return _maybe_record(out, (a,), backward)
 
@@ -178,18 +183,22 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * a.data.dtype.type(c))
 
     def backward(g):
-        a._accum_grad(g * a.data.dtype.type(c))
+        a._accum_grad(g * a.data.dtype.type(c), owned=True)
 
     return _maybe_record(out, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
-    """Elementwise max(0, x); derivative 0 at x == 0."""
+    """Elementwise max(0, x) as x * (x > 0); derivative 0 at x == 0.
+
+    A negative x gives -0.0, which compares and sums like 0.0; -inf and NaN
+    give NaN, so a diverged activation is not hidden.
+    """
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, a.data.dtype.type(0)))
+    out = Tensor(a.data * mask)
 
     def backward(g):
-        a._accum_grad(g * mask)
+        a._accum_grad(g * mask, owned=True)
 
     return _maybe_record(out, (a,), backward)
 
@@ -320,7 +329,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
         if x._needs_grad():
             x._accum_grad(g)
         if b._needs_grad():
-            b._accum_grad(g.sum(axis=reduce_axes))
+            b._accum_grad(g.sum(axis=reduce_axes), owned=True)
 
     return _maybe_record(out, (x, b), backward)
 
@@ -339,37 +348,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a._needs_grad():
-            a._accum_grad(g @ b.data.T)
+            a._accum_grad(g @ b.data.T, owned=True)
         if b._needs_grad():
-            b._accum_grad(a.data.T @ g)
+            b._accum_grad(a.data.T @ g, owned=True)
 
     return _maybe_record(out, (a, b), backward)
-
-
-def _im2col3x3(x: np.ndarray) -> np.ndarray:
-    """[N,C,H,W] -> [N, C*9, H*W] patch matrix for 3x3/stride-1/pad-1."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((n, c, 9, h, w), dtype=x.dtype)
-    t = 0
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, t] = xp[:, :, i : i + h, j : j + w]
-            t += 1
-    return cols.reshape(n, c * 9, h * w)
-
-
-def _col2im3x3(gcols: np.ndarray, n: int, c: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col3x3: scatter-add patches back to [N,C,H,W]."""
-    g5 = gcols.reshape(n, c, 9, h, w)
-    gxp = np.zeros((n, c, h + 2, w + 2), dtype=gcols.dtype)
-    t = 0
-    for i in range(3):
-        for j in range(3):
-            gxp[:, :, i : i + h, j : j + w] += g5[:, :, t]
-            t += 1
-    return gxp[:, :, 1:-1, 1:-1]
 
 
 def conv2d(x: Tensor, k: Tensor) -> Tensor:
@@ -377,6 +360,15 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
 
     Same-padding is fixed: it keeps H x W through every conv so the pooled
     feature counts line up with the fully-connected fan-ins.
+
+    The input is padded once into a channel-major [C, P] buffer, P =
+    N*(H+2)*(W+2).  Output pixel (n, y, x) sits at column q = n*(H+2)*(W+2)
+    + y*(W+2) + x of a [F, P] result, and tap (i, j) reads the buffer at
+    column q + i*(W+2) + j, so each tap is a contiguous column window of
+    length L = P - 2*(W+2) - 2.  Columns whose y >= H or x >= W are computed
+    and dropped.  When 9*C <= F the nine windows are stacked into one
+    [9C, L] patch matrix, no larger than the output, and each pass is one
+    GEMM; otherwise each pass is nine GEMMs over the windows themselves.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.data.ndim != 4:
@@ -387,20 +379,62 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
     f, ck = k.shape[0], k.shape[1]
     if ck != c:
         raise DimensionError(f"conv2d: input has {c} channels but kernel expects {ck}")
-    cols = _im2col3x3(x.data)  # [N, C*9, H*W]
-    k2 = k.data.reshape(f, c * 9)
-    out = Tensor(np.matmul(k2, cols).reshape(n, f, h, w))
+    dtype = np.result_type(x.data, k.data)
+    xp = np.zeros((c, n, h + 2, w + 2), dtype=dtype)
+    xp[:, :, 1:-1, 1:-1] = x.data.transpose(1, 0, 2, 3)
+    xp = xp.reshape(c, -1)
+    p = xp.shape[1]
+    offsets = [i * (w + 2) + j for i in range(3) for j in range(3)]  # tap t = 3i + j
+    span = max(p - offsets[-1], 0)  # 0 only for an empty batch
+    windows = [slice(off, off + span) for off in offsets]
+    taps = k.data.astype(dtype, copy=False).transpose(2, 3, 0, 1).reshape(9, f, c)  # taps[t] = k[:, :, i, j]
+    stacked = 9 * c <= f
+    yp = np.empty((f, p), dtype=dtype)  # columns from span on are never read
+    if stacked:
+        kmat = taps.transpose(1, 0, 2).reshape(f, 9 * c)
+        cols = np.empty((9 * c, span), dtype=dtype)
+        for t, win in enumerate(windows):
+            cols[t * c : (t + 1) * c] = xp[:, win]
+        np.matmul(kmat, cols, out=yp[:, :span])
+    else:
+        part = np.empty((f, span), dtype=dtype)
+        np.matmul(taps[0], xp[:, windows[0]], out=yp[:, :span])
+        for t in range(1, 9):
+            np.matmul(taps[t], xp[:, windows[t]], out=part)
+            yp[:, :span] += part
+    out = Tensor(yp.reshape(f, n, h + 2, w + 2)[:, :, :h, :w].transpose(1, 0, 2, 3).copy())
 
     def backward(g):
-        g2 = g.reshape(n, f, h * w)
+        gp = np.zeros((f, n, h + 2, w + 2), dtype=dtype)
+        gp[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
+        gq = gp.reshape(f, p)[:, :span]
         if k._needs_grad():
-            gk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            k._accum_grad(gk.reshape(f, c, 3, 3))
+            if stacked:
+                gk = (cols @ gq.T).reshape(9, c, f)
+            else:
+                gk = np.empty((9, c, f), dtype=dtype)
+                for t, win in enumerate(windows):
+                    np.matmul(xp[:, win], gq.T, out=gk[t])
+            k._accum_grad(gk.reshape(3, 3, c, f).transpose(3, 2, 0, 1).copy(), owned=True)
         if x._needs_grad():
-            gcols = np.matmul(k2.T, g2)  # [N, C*9, H*W]
-            x._accum_grad(_col2im3x3(gcols, n, c, h, w))
+            gxp = np.zeros((c, p), dtype=dtype)
+            if stacked:
+                gcols = kmat.T @ gq
+                for t, win in enumerate(windows):
+                    gxp[:, win] += gcols[t * c : (t + 1) * c]
+            else:
+                part = np.empty((c, span), dtype=dtype)
+                for t, win in enumerate(windows):
+                    np.matmul(taps[t].T, gq, out=part)
+                    gxp[:, win] += part
+            gx = gxp.reshape(c, n, h + 2, w + 2)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).copy()
+            x._accum_grad(gx, owned=True)
 
     return _maybe_record(out, (x, k), backward)
+
+
+# Window position t of a 2x2 pool, in row-major order.
+_WINDOW = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def maxpool2d(x: Tensor) -> Tensor:
@@ -412,23 +446,19 @@ def maxpool2d(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2d needs even spatial extents, got {h}x{w}")
-    windows = (
-        x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    argmax = windows.argmax(axis=-1)  # first occurrence on ties (row-major window scan)
-    out = Tensor(np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0])
+    v0, v1, v2, v3 = (x.data[:, :, i::2, j::2] for i, j in _WINDOW)
+    best = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    # First window position holding the max, from m_t = (v_t != max) as
+    # int8: m0 * (1 + m1 * (1 + m2)) is 0, 1, 2 or 3.
+    m0, m1, m2 = ((v != best).view(np.int8) for v in (v0, v1, v2))
+    argmax = m0 * (1 + m1 * (1 + m2))
+    out = Tensor(best)
 
     def backward(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, argmax[..., None], g[..., None], axis=-1)
-        gx = (
-            gw.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        x._accum_grad(gx)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        for t, (i, j) in enumerate(_WINDOW):
+            np.multiply(g, argmax == t, out=gx[:, :, i::2, j::2])
+        x._accum_grad(gx, owned=True)
 
     return _maybe_record(out, (x,), backward)
 
@@ -459,6 +489,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1
-        logits._accum_grad(g * p / logits.data.dtype.type(n))
+        logits._accum_grad(g * p / logits.data.dtype.type(n), owned=True)
 
     return _maybe_record(out, (logits,), backward)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,20 @@ def maxpool_reference(x: np.ndarray) -> np.ndarray:
             for i in range(0, h, 2):
                 for j in range(0, w, 2):
                     out[b, ci, i // 2, j // 2] = x[b, ci, i : i + 2, j : j + 2].max()
+    return out
+
+
+def maxpool_grad_reference(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each window's gradient goes to its first max in row-major order."""
+    n, c, h, w = x.shape
+    out = np.zeros_like(x)
+    for b in range(n):
+        for ci in range(c):
+            for i in range(0, h, 2):
+                for j in range(0, w, 2):
+                    window = [x[b, ci, i + di, j + dj] for di in (0, 1) for dj in (0, 1)]
+                    t = window.index(max(window))
+                    out[b, ci, i + t // 2, j + t % 2] = g[b, ci, i // 2, j // 2]
     return out
 
 
@@ -117,6 +133,96 @@ def test_conv2d_matches_direct_reference():
     np.testing.assert_allclose(T.conv2d(Tensor(x), Tensor(k)).data, conv2d_reference(x, k), atol=1e-6)
 
 
+# (N, C, F, H, W): 9*C <= F takes the stacked-patch branch, 9*C > F the
+# nine-GEMM branch.
+CONV_SHAPES = [
+    (2, 1, 16, 3, 5),
+    (3, 2, 18, 4, 2),
+    (2, 1, 16, 2, 2),
+    (3, 4, 3, 5, 3),
+    (2, 4, 3, 2, 2),
+    (2, 3, 5, 2, 6),
+]
+
+
+def conv_grads(x: np.ndarray, k: np.ndarray, r: np.ndarray):
+    """Gradients of sum(conv2d(x, k) * r) with respect to x and k."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.conv2d(xt, kt), Tensor(r)))
+    tape.backward(loss)
+    return xt.grad, kt.grad
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_forward_matches_reference_on_both_branches(shape):
+    n, c, f, h, w = shape
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal((n, c, h, w))
+    k = rng.standard_normal((f, c, 3, 3))
+    np.testing.assert_allclose(T.conv2d(Tensor(x), Tensor(k)).data, conv2d_reference(x, k), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_backward_matches_finite_differences(shape):
+    n, c, f, h, w = shape
+    rng = np.random.default_rng(sum(shape) + 1)
+    x = rng.standard_normal((n, c, h, w))
+    k = rng.standard_normal((f, c, 3, 3))
+    r = rng.standard_normal((n, f, h, w))
+    gx, gk = conv_grads(x, k, r)
+    step = 1e-6
+    for arr, grad in ((x, gx), (k, gk)):
+        numeric = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            keep = arr[idx]
+            arr[idx] = keep + step
+            up = (T.conv2d(Tensor(x), Tensor(k)).data * r).sum()
+            arr[idx] = keep - step
+            down = (T.conv2d(Tensor(x), Tensor(k)).data * r).sum()
+            arr[idx] = keep
+            numeric[idx] = (up - down) / (2 * step)
+        assert grad.shape == arr.shape
+        assert np.abs(grad - numeric).max() / np.abs(numeric).max() < 1e-7
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_float32_matches_float64(shape):
+    n, c, f, h, w = shape
+    rng = np.random.default_rng(sum(shape) + 2)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    k = rng.standard_normal((f, c, 3, 3)).astype(np.float32)
+    r = rng.standard_normal((n, f, h, w)).astype(np.float32)
+    got = T.conv2d(Tensor(x), Tensor(k)).data
+    assert got.dtype == np.float32
+    want = conv2d_reference(x.astype(np.float64), k.astype(np.float64))
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-5
+    for g32, g64 in zip(conv_grads(x, k, r), conv_grads(*(a.astype(np.float64) for a in (x, k, r)))):
+        assert g32.dtype == np.float32
+        assert np.abs(g32 - g64).max() / np.abs(g64).max() < 1e-5
+
+
+@pytest.mark.parametrize("c, f", [(1, 16), (4, 3)])
+def test_conv2d_and_maxpool_accept_an_empty_batch(c, f):
+    out = T.conv2d(Tensor(np.zeros((0, c, 4, 4))), Tensor(np.zeros((f, c, 3, 3))))
+    assert out.shape == (0, f, 4, 4)
+    assert T.maxpool2d(out).shape == (0, f, 2, 2)
+
+
+def test_conv2d_untaped_peak_memory_stays_below_six_inputs():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((8, 64, 32, 32)).astype(np.float32)
+    k = rng.standard_normal((64, 64, 3, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = T.conv2d(Tensor(x), Tensor(k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (8, 64, 32, 32)
+    assert peak < 6 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input's bytes"
+
+
 def test_conv2d_channel_mismatch():
     with pytest.raises(DimensionError, match="channels"):
         T.conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 4, 3, 3))))
@@ -164,6 +270,43 @@ def test_maxpool_backward_first_occurrence_on_ties():
     np.testing.assert_array_equal(x.grad, expected)
 
 
+# Window values in row-major order: every set of two or more tied maxima,
+# and zeros of both signs, which compare equal.
+TIE_WINDOWS = [
+    [2.0 if t in tied else -1.0 for t in range(4)]
+    for size in (2, 3, 4)
+    for tied in itertools.combinations(range(4), size)
+] + [
+    [-0.0, 0.0, -1.0, -1.0],
+    [0.0, -0.0, -1.0, -1.0],
+    [-1.0, -0.0, -1.0, 0.0],
+    [-0.0, 0.0, 0.0, -0.0],
+]
+
+
+@pytest.mark.parametrize("window", TIE_WINDOWS, ids=str)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_first_occurrence_on_ties(window, dtype):
+    rng = np.random.default_rng(11)
+    # Distinct values elsewhere; the tied window sits at batch 1, channel 2,
+    # window row 1, window column 2.
+    x = rng.permutation(2 * 3 * 4 * 6).reshape(2, 3, 4, 6).astype(dtype) + 10
+    x[1, 2, 2:4, 4:6] = np.array(window, dtype=dtype).reshape(2, 2)
+    g = rng.standard_normal((2, 3, 2, 3)).astype(dtype)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.maxpool2d(xt)
+        loss = T.sum_all(T.mul(out, Tensor(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.data, maxpool_reference(x))
+    assert out.data[1, 2, 1, 2] == max(window)
+    np.testing.assert_array_equal(xt.grad, maxpool_grad_reference(x, g))
+    first = window.index(max(window))
+    tied_grad = xt.grad[1, 2, 2:4, 4:6].ravel()
+    assert tied_grad[first] == g[1, 2, 1, 2]
+    assert np.count_nonzero(tied_grad) == 1
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural
 
@@ -171,6 +314,17 @@ def test_maxpool_backward_first_occurrence_on_ties():
 def test_relu():
     out = T.relu(Tensor([-1.0, 2.0, 0.0]))
     np.testing.assert_array_equal(out.data, [0.0, 2.0, 0.0])
+
+
+def test_relu_backward_is_zero_at_zero_of_either_sign():
+    x = Tensor(np.array([-0.0, 0.0, 1e-300, -1e-300, 3.0]), requires_grad=True)
+    g = np.array([5.0, 6.0, 7.0, 8.0, 9.0])
+    with Tape() as tape:
+        out = T.relu(x)
+        loss = T.sum_all(T.mul(out, Tensor(g)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(out.data, [0.0, 0.0, 1e-300, 0.0, 3.0])
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 7.0, 0.0, 9.0])
 
 
 def test_bias_add_zero_bias_is_identity():
@@ -323,6 +477,52 @@ def test_gradient_accumulates_for_shared_parent():
         loss = T.sum_all(T.add(w, w))
     tape.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
+
+def test_add_of_a_tensor_to_itself_doubles_the_gradient():
+    w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    r = np.array([0.5, 7.0, -3.0])
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.add(w, w), Tensor(r)))
+    tape.backward(loss)
+    np.testing.assert_array_equal(w.grad, 2 * r)
+
+
+def test_tensor_consumed_by_two_ops_accumulates_both():
+    x = Tensor(np.array([[-1.0, 2.0], [3.0, -4.0]]), requires_grad=True)
+    r1 = np.array([[1.0, 2.0], [3.0, 4.0]])
+    r2 = np.array([[10.0, 20.0], [30.0, 40.0]])
+    with Tape() as tape:
+        loss = T.add(T.sum_all(T.mul(T.relu(x), Tensor(r1))), T.sum_all(T.mul(x, Tensor(r2))))
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, r1 * (x.data > 0) + r2)
+
+
+def test_gradients_do_not_alias_after_backward():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    w = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
+    v = Tensor(rng.standard_normal(4), requires_grad=True)
+    u1 = Tensor(rng.standard_normal(8), requires_grad=True)
+    u2 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    u3 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    with Tape() as tape:
+        h = T.maxpool2d(T.relu(T.bias_add(T.conv2d(x, k), b)))
+        z = T.bias_add(T.matmul(T.flatten(h), w), v)
+        shift = T.add(T.reshape(u1, (2, 4)), T.add(u2, u3))
+        logits = T.add(T.add(T.scale(z, 0.5), T.mul(z, T.neg(z))), shift)
+        loss = T.softmax_cross_entropy(T.relu(logits), np.array([1, 3]))
+    tape.backward(loss)
+    tensors = [x, k, b, w, v, u1, u2, u3]
+    before = [t.grad.copy() for t in tensors]
+    for i, t in enumerate(tensors):
+        t.grad += 1.0
+        for j, other in enumerate(tensors):
+            if j != i:
+                np.testing.assert_array_equal(other.grad, before[j])
+        t.grad -= 1.0
 
 
 # ---------------------------------------------------------------------------
