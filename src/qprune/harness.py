@@ -123,7 +123,16 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         )
     if config.train_subset:
         train_set = train_set.subset(config.train_subset)
+    if config.early_stop and _validation_size(len(train_set)) >= len(train_set):
+        raise ConfigError(
+            f"early stopping needs at least 2 training images for a validation split, got {len(train_set)}"
+        )
     return train_set, test_set
+
+
+def _validation_size(n_train: int) -> int:
+    """Early-stopping validation split: 5000 images, or a fifth of a small set."""
+    return VALIDATION_SIZE if n_train > 5 * VALIDATION_SIZE else max(1, n_train // 5)
 
 
 def _real_prunable_count(config: ExperimentConfig) -> int:
@@ -153,7 +162,7 @@ def run_trial(
     validation = None
     train_set = train_full
     if config.early_stop:
-        vs = VALIDATION_SIZE if len(train_full) > 5 * VALIDATION_SIZE else max(1, len(train_full) // 5)
+        vs = _validation_size(len(train_full))
         train_set, validation = split_train_validation(train_full, SplitSpec(vs, seed))
 
     net = build_network(spec, rng=rng)

@@ -56,9 +56,11 @@ class Tensor:
 
     def _accum_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add ``g`` to ``.grad``.  A first contribution is copied unless the
-        backward rule marks it ``owned``: a fresh array it built for this
-        tensor alone.  Views and buffers shared between parents are copied,
-        since ``.grad`` is later added to in place."""
+        backward rule marks it ``owned``: an array that belongs to this parent
+        alone, either fresh or the node's own ``out.grad`` (or a view of it).
+        Handing over ``out.grad`` is safe because, once a node's backward has
+        run, nothing reads its ``out.grad`` again.  A buffer given to several
+        parents is copied, since ``.grad`` is later added to in place."""
         if self.grad is None:
             if owned and g.dtype == self.data.dtype:
                 self.grad = g
@@ -209,7 +211,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def backward(g):
-        a._accum_grad(g.reshape(a.shape))
+        a._accum_grad(g.reshape(a.shape), owned=True)
 
     return _maybe_record(out, (a,), backward)
 
@@ -292,7 +294,7 @@ def hamilton_block(parts: Sequence[Tensor], out_axis: int) -> Tensor:
                     sums[c] -= blk
         for p, s in zip(parts, sums):
             if p._needs_grad():
-                p._accum_grad(s)
+                p._accum_grad(s, owned=True)
 
     return _maybe_record(out, parts, backward)
 
@@ -327,7 +329,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if x._needs_grad():
-            x._accum_grad(g)
+            x._accum_grad(g, owned=True)
         if b._needs_grad():
             b._accum_grad(g.sum(axis=reduce_axes), owned=True)
 

@@ -66,6 +66,20 @@ def test_train_subset_larger_than_training_split_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_early_stop_on_a_one_image_subset_exits_1(tmp_path, capsys):
+    make_mnist_files(tmp_path, n_train=240, n_test=60)
+    rc = main([
+        "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+        "--trials", "1", "--epochs", "1", "--rounds", "0", "--train-subset", "1", "--early-stop",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "early stopping" in err and "got 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_end_to_end_run_on_synthetic_mnist(tmp_path, capsys):
     data_dir = tmp_path / "mnist"
     make_mnist_files(data_dir, n_train=240, n_test=60)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,92 @@ def test_state_invariants_hold_across_steps():
         assert opt.t == expected_t  # strictly +1 per step
         assert np.all(opt.v[0] >= 0.0)
         assert opt.m[0].shape == p.tensor.data.shape
+
+
+# ---------------------------------------------------------------------------
+# in-place update against the allocating one
+
+
+class AllocatingAdam:
+    """The allocating update the in-place step must reproduce bit for bit."""
+
+    def __init__(self, datas, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.data = [d.copy() for d in datas]
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(d) for d in datas]
+        self.v = [np.zeros_like(d) for d in datas]
+
+    def step(self, grads, masks=None):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for i, data in enumerate(self.data):
+            g = grads[i] if grads[i] is not None else np.zeros_like(data)
+            pm = masks[i] if masks is not None else None
+            if pm is not None:
+                g = g * pm
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(data.dtype, copy=False)
+            if pm is not None:
+                data *= pm
+
+
+SHAPES = [(), (7,), (5, 3)]
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_step_is_bit_identical_to_the_allocating_update(dtype, masked):
+    rng = np.random.default_rng(21)
+    datas = [rng.standard_normal(s).astype(dtype) for s in SHAPES]
+    masks = [(rng.random(s) < 0.7).astype(np.uint8) for s in SHAPES] if masked else None
+    if masked:
+        masks[0] = np.array(1, dtype=np.uint8)
+        for d, pm in zip(datas, masks):
+            d *= pm
+    params = [Param(f"p{i}", Tensor(d.copy(), requires_grad=True), True) for i, d in enumerate(datas)]
+    opt = Adam(params, lr=0.01)
+    ref = AllocatingAdam(datas, lr=0.01)
+    mask = {p.name: pm for p, pm in zip(params, masks)} if masked else None
+    moments = opt.m + opt.v
+    for step in range(20):
+        grads = [rng.standard_normal(s).astype(dtype) for s in SHAPES]
+        if step % 7 == 3:
+            grads[1] = None  # a parameter the loss did not reach
+        kept = [None if g is None else g.copy() for g in grads]
+        for p, g in zip(params, grads):
+            p.tensor.grad = g
+        opt.step(mask)
+        ref.step(grads, masks)
+        for g, k in zip(grads, kept):
+            np.testing.assert_array_equal(g, k)  # read, never written into
+        assert all(p.tensor.grad is None for p in params)
+    assert all(a is b for a, b in zip(opt.m + opt.v, moments))  # updated in place
+    for i, p in enumerate(params):
+        assert p.tensor.data.dtype == dtype
+        np.testing.assert_array_equal(p.tensor.data, ref.data[i])
+        np.testing.assert_array_equal(opt.m[i], ref.m[i])
+        np.testing.assert_array_equal(opt.v[i], ref.v[i])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_step_allocates_less_than_one_parameter(masked):
+    rng = np.random.default_rng(24)
+    p = Param("w", Tensor(rng.standard_normal((256, 64)).astype(np.float32), requires_grad=True), True)
+    mask = {"w": (rng.random((256, 64)) < 0.5).astype(np.uint8)} if masked else None
+    opt = Adam([p], lr=0.01)
+    p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
+    opt.step(mask)
+    p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        opt.step(mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.tensor.data.nbytes, f"a step allocated {peak} bytes"

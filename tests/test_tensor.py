@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qprune import tensor as T
 from qprune.errors import DimensionError, StateError
 from qprune.tensor import Tape, Tensor
+from qprune.verify import finite_difference_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +524,68 @@ def test_gradients_do_not_alias_after_backward():
             if j != i:
                 np.testing.assert_array_equal(other.grad, before[j])
         t.grad -= 1.0
+
+
+def check_handed_over_gradients(loss_fn, leaves):
+    """Tape gradients equal central differences in float64, and no two
+    leaves' ``.grad`` share memory."""
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    for t in leaves:
+        numeric = finite_difference_gradient(lambda: float(loss_fn().data), t, h=1e-6)
+        np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
+    for a, b in itertools.combinations(leaves, 2):
+        assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("bias_first", [True, False])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2, 2)])
+def test_bias_add_input_also_read_by_another_op(shape, bias_first):
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    r1, r2 = Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape))
+
+    def loss_fn():
+        if bias_first:
+            y, z = T.bias_add(x, b), T.mul(x, r2)
+        else:
+            z, y = T.mul(x, r2), T.bias_add(x, b)
+        return T.add(T.sum_all(T.mul(T.mul(y, y), r1)), T.sum_all(T.mul(z, z)))
+
+    check_handed_over_gradients(loss_fn, [x, b])
+
+
+def test_bias_add_reshape_matmul_chain():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    w = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
+    labels = np.array([3, 1])
+
+    def loss_fn():
+        return T.softmax_cross_entropy(T.matmul(T.reshape(T.bias_add(x, b), (2, 12)), w), labels)
+
+    check_handed_over_gradients(loss_fn, [x, b, w])
+
+
+@pytest.mark.parametrize("out_axis", [0, 1])
+@pytest.mark.parametrize("repeated", [False, True])
+def test_hamilton_block_parts_also_read_elsewhere(out_axis, repeated):
+    rng = np.random.default_rng(15)
+    parts = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(4)]
+    block_parts = [parts[0], parts[0], parts[2], parts[3]] if repeated else parts
+    a = Tensor(rng.standard_normal((5, 8)))
+    r = Tensor(rng.standard_normal((2, 3)))
+    labels = np.array([0, 11, 4, 7, 2])
+
+    def loss_fn():
+        logits = T.matmul(a, T.hamilton_block(block_parts, out_axis))
+        side = T.add(T.sum_all(T.mul(parts[0], r)), T.sum_all(T.mul(parts[1], parts[1])))
+        return T.add(T.softmax_cross_entropy(logits, labels), side)
+
+    check_handed_over_gradients(loss_fn, parts)
 
 
 # ---------------------------------------------------------------------------
