@@ -3,8 +3,10 @@ and plot-ready CSV output."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -20,6 +22,11 @@ from .pruning import PruneSchedule, RoundResult, iterative_lottery
 from .training import TrainSettings, evaluate_accuracy, train
 
 VALIDATION_SIZE = 5000
+
+# glibc <malloc.h> parameter numbers for mallopt(3)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024  # glibc's ceiling for its dynamic threshold on 64-bit
 
 
 @dataclass
@@ -110,6 +117,50 @@ class AggregateResult:
     trials: list[TrialResult]
     failures: int
     wall_seconds: float
+    heap_resident: bool = False  # what keep_heap_resident returned for this run
+
+
+def keep_heap_resident() -> bool:
+    """Keep freed heap memory mapped so the next training step reuses it.
+
+    A conv step allocates and frees activations of 15-18 MB each.  By
+    default glibc hands the freed top of its heap back to the kernel, and
+    the next step faults the same ~200 MB in again, page by page.  This sets
+    two malloc options with mallopt(3): blocks below 32 MiB come from the
+    heap (larger ones, such as 500-image eval batches, are still mmapped and
+    unmapped on free), and the heap is never trimmed.  Both must be set:
+    setting either one turns off glibc's dynamic mmap threshold, and the
+    trim threshold alone leaves it at its 128 KiB start.
+
+    The policy is process-wide and lasts for the life of the process.
+    Where the C library has no ``mallopt`` (macOS, Windows) nothing is
+    changed.  Returns whether both calls succeeded.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+    trim_ok = mallopt(M_TRIM_THRESHOLD, -1) == 1  # -1: never trim
+    return mmap_ok and trim_ok
+
+
+def _environment(heap_resident: bool) -> dict:
+    """The software and thread setup that step times and CSV bytes depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 has no mode argument
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "heap_resident": heap_resident,
+    }
 
 
 def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -215,6 +266,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
     trials that reached each epoch/sparsity level.
     """
     config.validate()
+    heap_resident = keep_heap_resident()
     started = time.monotonic()
     datasets = load_datasets(config)
     seeds = [config.base_seed + i for i in range(config.trials)]
@@ -251,6 +303,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         trials=trials,
         failures=sum(t.failed for t in trials),
         wall_seconds=time.monotonic() - started,
+        heap_resident=heap_resident,
     )
 
 
@@ -286,6 +339,7 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
         "trial_errors": [t.error for t in result.trials if t.failed],
         "wall_seconds": result.wall_seconds,
         "version": __version__,
+        "environment": _environment(result.heap_resident),
     }
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -10,7 +10,9 @@ no whole weight is left to prune.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -89,6 +91,15 @@ def _check_mask(net: Network, mask: Mask) -> None:
             )
 
 
+def prune_count(rate: float, kept: int) -> int:
+    """floor(rate * kept), with the rate taken at its shortest decimal form.
+
+    In binary floating point ``0.29 * 100`` is ``28.999999999999996``, so a
+    float floor prunes one weight too few; the decimal form gives 29.
+    """
+    return math.floor(Fraction(repr(float(rate))) * kept)
+
+
 def global_magnitude_prune(net: Network, mask: Mask, rate: float) -> Mask:
     """Zero the floor(rate * kept) smallest-magnitude kept weights, pooled
     across all prunable tensors; ties break by ascending registry index."""
@@ -99,7 +110,7 @@ def global_magnitude_prune(net: Network, mask: Mask, rate: float) -> Mask:
     mags = np.concatenate([np.abs(p.tensor.data.ravel()) for p in prunable])
     kept = np.concatenate([mask.arrays[p.name].ravel() for p in prunable]).astype(bool)
     kept_idx = np.flatnonzero(kept)  # ascending global registry order
-    k = int(np.floor(rate * kept_idx.size))
+    k = prune_count(rate, kept_idx.size)
     new = mask.copy()
     if k == 0:
         return new
@@ -171,7 +182,7 @@ def iterative_lottery(
     failures = 0
     rounds = 0
     while max_rounds is None or rounds < max_rounds:
-        if int(np.floor(schedule.rate * mask.kept_count())) < 1:
+        if prune_count(schedule.rate, mask.kept_count()) < 1:
             break
         mask = global_magnitude_prune(net, mask, schedule.rate)
         rewind(net, snapshot, mask)

@@ -1,16 +1,23 @@
 import csv
+import ctypes
 import json
 import os
+import platform
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qprune.harness as harness
 from conftest import synthetic_dataset
 from qprune.errors import ConfigError
 from qprune.harness import (
     AggregateResult,
     ExperimentConfig,
     emit_results,
+    keep_heap_resident,
     run_experiment,
     run_trial,
 )
@@ -116,8 +123,6 @@ def test_run_experiment_single_trial_mean_equals_trial_std_zero():
 
 
 def _aggregate_with_data(cfg, ds, monkey=None):
-    import qprune.harness as harness
-
     original = harness.load_datasets
     harness.load_datasets = lambda c: ds
     try:
@@ -206,6 +211,25 @@ def test_emit_results_files_and_roundtrip(tmp_path):
     assert manifest["seeds"] == [0, 1]
     assert manifest["trials_failed"] == 0
     assert "wall_seconds" in manifest and "version" in manifest
+    env = manifest["environment"]
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["heap_resident"] is agg.heap_resident
+
+
+def test_manifest_echoes_thread_variables_and_allocator_result(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    agg = AggregateResult(
+        config=tiny_config(), seeds=[0], curve_stats=[], sweep_stats=[], trials=[], failures=0,
+        wall_seconds=0.0, heap_resident=True,
+    )
+    emit_results(agg, str(tmp_path))
+    env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["OMP_NUM_THREADS"] is None
+    assert env["heap_resident"] is True
 
 
 def test_emit_empty_sweep_writes_header_only(tmp_path):
@@ -241,3 +265,85 @@ def test_emitted_csvs_byte_identical_across_runs(tmp_path):
         emit_results(agg, str(out))
         blobs.append((out / "sparsity_sweep.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+
+class FakeMallopt:
+    """Stands in for libc's ``mallopt``; records every call."""
+
+    def __init__(self, returns):
+        self.returns = returns
+        self.calls = []
+        self.argtypes = self.restype = None
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.returns
+
+
+def fake_cdll(monkeypatch, mallopt):
+    def cdll(name):
+        assert name is None  # the process's own symbols, where libc's live
+        return SimpleNamespace(mallopt=mallopt) if mallopt is not None else SimpleNamespace()
+
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    return mallopt
+
+
+def test_heap_policy_sets_mmap_threshold_and_never_trims(monkeypatch):
+    mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=1))
+    assert keep_heap_resident() is True
+    # M_MMAP_THRESHOLD (-3) at 32 MiB; M_TRIM_THRESHOLD (-1) at -1, "never trim"
+    assert sorted(mallopt.calls) == [(-3, 32 * 1024 * 1024), (-1, -1)]
+    assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+    assert mallopt.restype is ctypes.c_int
+
+
+def test_heap_policy_reports_a_failed_mallopt(monkeypatch):
+    mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=0))
+    assert keep_heap_resident() is False
+    assert len(mallopt.calls) == 2
+
+
+def test_heap_policy_without_mallopt_does_nothing(monkeypatch):
+    fake_cdll(monkeypatch, None)
+    assert keep_heap_resident() is False
+
+
+def test_run_experiment_applies_heap_policy(monkeypatch):
+    mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=1))
+    agg = _aggregate_with_data(tiny_config(rounds=0), tiny_datasets())
+    assert agg.heap_resident is True
+    assert len(mallopt.calls) == 2
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from qprune.harness import keep_heap_resident
+
+assert keep_heap_resident()
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(16 * 2**20, dtype=np.uint8) for _ in range(8)]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc's mallopt")
+def test_freed_arrays_stay_resident_after_heap_policy():
+    # the policy is process-wide, so it is measured in a child process
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    faults = json.loads(probe.stdout)
+    assert faults[0] > 0  # round 1 maps the heap
+    assert faults[1:] == [0, 0, 0, 0]

@@ -13,6 +13,7 @@ from qprune.pruning import (
     full_mask,
     global_magnitude_prune,
     iterative_lottery,
+    prune_count,
     rewind,
     sparsity,
 )
@@ -36,6 +37,29 @@ def test_prune_count_is_floor_of_rate_times_kept():
     mask = full_mask(net)
     pruned = global_magnitude_prune(net, mask, 0.2)
     assert pruned.kept_count() == 8
+
+
+# float floor gives 28, 62 and 7220: 0.29 * 100 is 28.999999999999996
+@pytest.mark.parametrize("rate, kept, count", [(0.29, 100, 29), (0.35, 180, 63), (0.29, 24900, 7221)])
+def test_prune_count_uses_the_decimal_rate(rate, kept, count):
+    assert prune_count(rate, kept) == count
+    net = make_net(((kept, 1),))
+    assert global_magnitude_prune(net, full_mask(net), rate).kept_count() == kept - count
+
+
+def test_prune_count_at_rate_02_matches_float_floor():
+    # the default rate's ladder, and so every CSV written with it, is unchanged
+    kept = [*range(10_001), 266_610, 4_300_000, 5_000_000]
+    assert [prune_count(0.2, k) for k in kept] == [int(np.floor(0.2 * k)) for k in kept]
+
+
+def test_lottery_ladder_at_rate_029_is_exact():
+    net = make_net(((100, 1),))
+    results = iterative_lottery(net, PruneSchedule(rate=0.29), lambda n, m: None, lambda n: 1.0)
+    expected = [100]
+    while expected[-1] * 29 // 100 >= 1:  # stops when no whole weight is left to prune
+        expected.append(expected[-1] - expected[-1] * 29 // 100)
+    assert [r.kept for r in results] == expected
 
 
 def test_unique_smallest_magnitude_is_pruned():
