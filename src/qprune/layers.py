@@ -72,7 +72,7 @@ class Conv2d(Layer):
         return [("k", self.k, True), ("b", self.b, False)]
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.bias_add(T.conv2d(x, self.k), self.b)
+        return T.conv2d(x, self.k, b=self.b)
 
 
 class QuatLinear(Layer):
@@ -139,7 +139,7 @@ class QuatConv2d(Layer):
                 f"({4 * self.in_q} planes), got {x.shape[1]}"
             )
         kernel = T.hamilton_block([self.k_r, self.k_x, self.k_y, self.k_z], out_axis=0)  # [4*out_q, 4*in_q, 3, 3]
-        return T.bias_add(T.conv2d(x, kernel), self.b)
+        return T.conv2d(x, kernel, b=self.b)
 
 
 class ReLU(Layer):

@@ -194,7 +194,9 @@ def _conv_stack(spec: ModelSpec, rng: np.random.Generator, dtype) -> tuple[list[
     in_ch = 1 if quat else c  # quaternion input: (R,G,B,gray) = one quat channel
     for item in spec.conv_plan:
         if item == POOL:
-            layers.append(MaxPool2d())
+            # Ahead of the conv's ReLU, which then runs on a quarter of the
+            # elements: max commutes with ReLU, and neither has parameters.
+            layers.insert(len(layers) - 1, MaxPool2d())
             h //= 2
             w //= 2
             continue

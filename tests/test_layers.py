@@ -216,7 +216,7 @@ def test_qconv_hamilton_block_matches_concat_assembly_bitwise():
 
     def reference(inp):
         k = concat_conv_block(layer.k_r, layer.k_x, layer.k_y, layer.k_z)
-        return T.bias_add(T.conv2d(inp, k), layer.b)
+        return T.conv2d(inp, k, b=layer.b)
 
     assert_same_bits(layer, x, reference)
 
@@ -226,6 +226,13 @@ def test_qlinear_forward_records_three_tape_nodes():
     with Tape() as tape:
         layer.forward(Tensor(np.zeros((1, 12), dtype=np.float32)))
         assert len(tape) == 3  # hamilton_block, matmul, bias_add
+
+
+def test_qconv_forward_records_two_tape_nodes():
+    layer = QuatConv2d(1, 2, np.random.default_rng(0))
+    with Tape() as tape:
+        layer.forward(Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32)))
+        assert len(tape) == 2  # hamilton_block, conv2d with the bias fused in
 
 
 def test_hamilton_block_rejects_mismatched_parts_and_axis():

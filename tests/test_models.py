@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from qprune import tensor as T
 from qprune.errors import ConfigError
-from qprune.layers import Conv2d, Linear, QuatConv2d, QuatLinear
+from qprune.layers import Conv2d, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import (
     ModelSpec,
     Network,
@@ -11,6 +12,7 @@ from qprune.models import (
     model_spec,
     prepare_images,
 )
+from qprune.tensor import Tape
 
 
 def test_lenet300_real_total_count():
@@ -170,3 +172,66 @@ def test_count_parameters_empty_network():
     spec = model_spec("lenet12", "mnist", "real")
     empty = Network(spec, [], np.float32)
     assert count_parameters(empty) == 0
+
+
+def test_conv_network_accepts_an_empty_batch():
+    for field in ("real", "quat"):
+        net = build_network(model_spec("conv2", "cifar10", field), seed=1)
+        logits = net.forward(net.prepare_input(np.zeros((0, 3, 32, 32), dtype=np.float32)))
+        assert logits.shape == (0, 10)
+
+
+def relu_before_pool(layers):
+    """The conv stack in the order conv, ReLU, pool."""
+    layers = list(layers)
+    for i in [i for i, layer in enumerate(layers) if isinstance(layer, MaxPool2d)]:
+        assert isinstance(layers[i - 1], (Conv2d, QuatConv2d)) and isinstance(layers[i + 1], ReLU)
+        layers[i], layers[i + 1] = layers[i + 1], layers[i]
+    return layers
+
+
+def training_step(net, images, labels):
+    """Logits, loss and every parameter gradient of one training step."""
+    net.zero_grad()
+    with Tape() as tape:
+        logits = net.forward(net.prepare_input(images))
+        loss = T.softmax_cross_entropy(logits, labels)
+    tape.backward(loss)
+    return logits.data, loss.data, [p.tensor.grad.copy() for p in net.parameters()]
+
+
+CONV2_PARAM_NAMES = {
+    "real": ["layers.0.b", "layers.0.k", "layers.2.b", "layers.2.k", "layers.6.b", "layers.6.w",
+             "layers.8.b", "layers.8.w", "layers.10.b", "layers.10.w"],
+    "quat": [f"layers.{i}.{t}" for i in (0, 2) for t in ("b", "k_r", "k_x", "k_y", "k_z")]
+    + [f"layers.{i}.{t}" for i in (6, 8) for t in ("b", "w_r", "w_x", "w_y", "w_z")]
+    + ["layers.10.b", "layers.10.w"],
+}
+
+
+@pytest.mark.parametrize("field", ["real", "quat"])
+@pytest.mark.parametrize("name", ["conv2", "conv4"])
+def test_pool_before_relu_gives_the_same_training_step(name, field):
+    spec = model_spec(name, "cifar10", field)
+    net = build_network(spec, dtype=np.float32, seed=3)
+    rng = np.random.default_rng(20)
+    for p in net.parameters():
+        if not p.prunable:  # nonzero biases, so pre-activations of both signs meet the pool
+            p.tensor.data[:] = rng.standard_normal(p.tensor.shape) * 0.1
+    images = rng.random((3, 3, 32, 32), dtype=np.float32)
+    labels = np.array([1, 7, 4])
+    names = [p.name for p in net.parameters()]
+    if name == "conv2":
+        assert names == CONV2_PARAM_NAMES[field]
+    old_layers = relu_before_pool(net.layers)
+    assert [p.name for p in Network(spec, old_layers, np.float32).parameters()] == names
+    pooled_first = training_step(net, images, labels)
+    net.layers = old_layers
+    relu_first = training_step(net, images, labels)
+    logits, loss, grads = pooled_first
+    assert logits.dtype == np.float32
+    np.testing.assert_array_equal(logits, relu_first[0])
+    np.testing.assert_array_equal(loss, relu_first[1])
+    assert len(grads) == len(names)
+    for got, want in zip(grads, relu_first[2]):
+        np.testing.assert_array_equal(got, want)

@@ -134,8 +134,9 @@ def test_conv2d_matches_direct_reference():
     np.testing.assert_allclose(T.conv2d(Tensor(x), Tensor(k)).data, conv2d_reference(x, k), atol=1e-6)
 
 
-# (N, C, F, H, W): 9*C <= F takes the stacked-patch branch, 9*C > F the
-# nine-GEMM branch.
+# (N, C, F, H, W): 9*C <= F (a patch block no larger than the output) and
+# 9*C > F (the 64->64 convs' side of the ratio), both of which run the one
+# blocked path.
 CONV_SHAPES = [
     (2, 1, 16, 3, 5),
     (3, 2, 18, 4, 2),
@@ -144,6 +145,12 @@ CONV_SHAPES = [
     (2, 4, 3, 2, 2),
     (2, 3, 5, 2, 6),
 ]
+
+
+def conv_span(shape) -> int:
+    """Window length L of ``conv2d`` for a CONV_SHAPES entry."""
+    n, _, _, h, w = shape
+    return n * (h + 2) * (w + 2) - 2 * (w + 2) - 2
 
 
 def conv_grads(x: np.ndarray, k: np.ndarray, r: np.ndarray):
@@ -155,8 +162,7 @@ def conv_grads(x: np.ndarray, k: np.ndarray, r: np.ndarray):
     return xt.grad, kt.grad
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES)
-def test_conv2d_forward_matches_reference_on_both_branches(shape):
+def check_conv_forward(shape):
     n, c, f, h, w = shape
     rng = np.random.default_rng(sum(shape))
     x = rng.standard_normal((n, c, h, w))
@@ -164,8 +170,7 @@ def test_conv2d_forward_matches_reference_on_both_branches(shape):
     np.testing.assert_allclose(T.conv2d(Tensor(x), Tensor(k)).data, conv2d_reference(x, k), rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES)
-def test_conv2d_backward_matches_finite_differences(shape):
+def check_conv_backward(shape):
     n, c, f, h, w = shape
     rng = np.random.default_rng(sum(shape) + 1)
     x = rng.standard_normal((n, c, h, w))
@@ -187,8 +192,7 @@ def test_conv2d_backward_matches_finite_differences(shape):
         assert np.abs(grad - numeric).max() / np.abs(numeric).max() < 1e-7
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES)
-def test_conv2d_float32_matches_float64(shape):
+def check_conv_float32(shape):
     n, c, f, h, w = shape
     rng = np.random.default_rng(sum(shape) + 2)
     x = rng.standard_normal((n, c, h, w)).astype(np.float32)
@@ -201,6 +205,99 @@ def test_conv2d_float32_matches_float64(shape):
     for g32, g64 in zip(conv_grads(x, k, r), conv_grads(*(a.astype(np.float64) for a in (x, k, r)))):
         assert g32.dtype == np.float32
         assert np.abs(g32 - g64).max() / np.abs(g64).max() < 1e-5
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_forward_matches_reference_on_both_branches(shape):
+    check_conv_forward(shape)
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_backward_matches_finite_differences(shape):
+    check_conv_backward(shape)
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_float32_matches_float64(shape):
+    check_conv_float32(shape)
+
+
+@pytest.mark.parametrize("blocks", ["one", "partial", "width1"])
+@pytest.mark.parametrize("shape", CONV_SHAPES)
+def test_conv2d_block_boundaries(shape, blocks, monkeypatch):
+    """The same checks with the window length in one block, in blocks of 4
+    columns whose last is partial, and in blocks of one column."""
+    span = conv_span(shape)
+    if blocks == "one":  # past the cap that keeps a block within the padded input
+        monkeypatch.setattr(T, "_block_width", lambda p: p)
+    elif blocks == "partial":
+        assert span > 4 and span % 4
+        monkeypatch.setattr(T, "CONV_BLOCK", 4)
+    else:
+        monkeypatch.setattr(T, "CONV_BLOCK", 1)
+    n, _, _, h, w = shape
+    assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
+    check_conv_forward(shape)
+    check_conv_backward(shape)
+    check_conv_float32(shape)
+
+
+def test_conv2d_block_width_rule():
+    # 4096 columns, capped at ceil(P / 9) so a [9C, width] block is no
+    # larger than the [C, P] padded input.
+    assert T._block_width(60 * 34 * 34) == 4096
+    assert T._block_width(8 * 34 * 34) == 1028
+    assert T._block_width(10) == 2
+    assert T._block_width(1) == 1
+    assert T._block_width(0) == 1
+
+
+def test_conv2d_bias_matches_reference_plus_bias():
+    rng = np.random.default_rng(16)
+    for n, c, f, h, w in CONV_SHAPES:
+        x = rng.standard_normal((n, c, h, w))
+        k = rng.standard_normal((f, c, 3, 3))
+        b = rng.standard_normal(f)
+        got = T.conv2d(Tensor(x), Tensor(k), b=Tensor(b)).data
+        want = conv2d_reference(x, k) + b[None, :, None, None]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_bias_gradients_match_central_differences():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+    k = Tensor(rng.standard_normal((5, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(5), requires_grad=True)
+    r = Tensor(rng.standard_normal((2, 5, 4, 2)))
+
+    def loss_fn():
+        return T.sum_all(T.mul(T.conv2d(x, k, b=b), r))
+
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    np.testing.assert_allclose(b.grad, r.data.sum(axis=(0, 2, 3)), rtol=1e-12)
+    for t in (x, k, b):
+        numeric = finite_difference_gradient(lambda: float(loss_fn().data), t, h=1e-6)
+        np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+def test_conv2d_bias_is_keyword_only():
+    x, k, b = Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((2, 1, 3, 3))), Tensor(np.zeros(2))
+    with pytest.raises(TypeError):
+        T.conv2d(x, k, b)
+
+
+def test_conv2d_bias_length_mismatch():
+    with pytest.raises(DimensionError, match="bias"):
+        T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((2, 1, 3, 3))), b=Tensor(np.zeros(3)))
+
+
+def test_conv2d_bias_channel_broadcast():
+    x = np.zeros((2, 3, 2, 2))
+    out = T.conv2d(Tensor(x), Tensor(np.zeros((3, 3, 3, 3))), b=Tensor([1.0, 2.0, 3.0]))
+    assert out.data[0, 1, 0, 0] == 2.0
+    assert out.data[1, 2, 1, 1] == 3.0
 
 
 @pytest.mark.parametrize("c, f", [(1, 16), (4, 3)])
@@ -222,6 +319,23 @@ def test_conv2d_untaped_peak_memory_stays_below_six_inputs():
         tracemalloc.stop()
     assert out.shape == (8, 64, 32, 32)
     assert peak < 6 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input's bytes"
+
+
+def test_conv2d_taped_peak_memory_with_bias_stays_below_eight_inputs():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.standard_normal((60, 64, 32, 32)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((64, 64, 3, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = T.sum_all(T.conv2d(x, k, b=b))
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and k.grad.shape == k.shape and b.grad.shape == (64,)
+    assert peak < 8 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f}x the input's bytes"
 
 
 def test_conv2d_channel_mismatch():
@@ -308,6 +422,42 @@ def test_maxpool_first_occurrence_on_ties(window, dtype):
     assert np.count_nonzero(tied_grad) == 1
 
 
+# Windows whose max is positive, negative or zero, each with every set of
+# two or more tied maxima, plus zeros of both signs.
+POOL_RELU_WINDOWS = [
+    [top if t in tied else low for t in range(4)]
+    for top, low in ((2.0, -1.0), (-1.0, -3.0), (0.0, -1.0))
+    for size in (1, 2, 3, 4)
+    for tied in itertools.combinations(range(4), size)
+] + [
+    [-0.0, 0.0, -1.0, -1.0],
+    [0.0, -0.0, -1.0, -1.0],
+    [-0.0, -0.0, -0.0, -0.0],
+    [-0.0, 3.0, 0.0, 3.0],
+    [-2.0, -0.0, -5.0, 0.0],
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_then_relu_equals_relu_then_maxpool(dtype):
+    rng = np.random.default_rng(19)
+    x = np.array(POOL_RELU_WINDOWS, dtype=dtype).reshape(1, -1, 2, 2)
+    x = np.concatenate([x, rng.standard_normal((1, 4, 2, 2)).astype(dtype)], axis=1)
+    g = Tensor(rng.standard_normal((1, x.shape[1], 1, 1)).astype(dtype))
+    results = []
+    for first, second in ((T.maxpool2d, T.relu), (T.relu, T.maxpool2d)):
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = second(first(xt))
+            loss = T.sum_all(T.mul(out, g))
+        tape.backward(loss)
+        results.append((out.data, xt.grad))
+    (pool_first, grad_pool_first), (relu_first, grad_relu_first) = results
+    np.testing.assert_array_equal(pool_first, relu_first)
+    np.testing.assert_array_equal(grad_pool_first, grad_relu_first)
+    assert np.count_nonzero(grad_pool_first) > 0
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural
 
@@ -334,16 +484,26 @@ def test_bias_add_zero_bias_is_identity():
     np.testing.assert_array_equal(out.data, x)
 
 
-def test_bias_add_channel_broadcast():
-    x = np.zeros((2, 3, 2, 2))
-    out = T.bias_add(Tensor(x), Tensor([1.0, 2.0, 3.0]))
-    assert out.data[0, 1, 0, 0] == 2.0
-    assert out.data[1, 2, 1, 1] == 3.0
+def test_bias_add_rejects_a_4d_input():
+    with pytest.raises(DimensionError, match="2-D"):
+        T.bias_add(Tensor(np.zeros((2, 3, 2, 2))), Tensor(np.zeros(3)))
 
 
 def test_bias_add_length_mismatch():
     with pytest.raises(DimensionError, match="bias length"):
         T.bias_add(Tensor(np.zeros((2, 4))), Tensor(np.zeros(5)))
+
+
+def test_flatten_accepts_an_empty_batch():
+    out = T.flatten(Tensor(np.zeros((0, 3, 2, 2))))
+    assert out.shape == (0, 12)
+
+
+def test_reshape_mismatch_raises_dimension_error():
+    x = Tensor(np.zeros(6))
+    for shape in ((4, -1), (4, 2), (-1, -1)):
+        with pytest.raises(DimensionError, match="reshape"):
+            T.reshape(x, shape)
 
 
 def test_flatten_preserves_row_major_order():
@@ -510,7 +670,7 @@ def test_gradients_do_not_alias_after_backward():
     u2 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     u3 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     with Tape() as tape:
-        h = T.maxpool2d(T.relu(T.bias_add(T.conv2d(x, k), b)))
+        h = T.maxpool2d(T.relu(T.conv2d(x, k, b=b)))
         z = T.bias_add(T.matmul(T.flatten(h), w), v)
         shift = T.add(T.reshape(u1, (2, 4)), T.add(u2, u3))
         logits = T.add(T.add(T.scale(z, 0.5), T.mul(z, T.neg(z))), shift)
@@ -540,7 +700,7 @@ def check_handed_over_gradients(loss_fn, leaves):
 
 
 @pytest.mark.parametrize("bias_first", [True, False])
-@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 2, 2)])
+@pytest.mark.parametrize("shape", [(3, 4)])
 def test_bias_add_input_also_read_by_another_op(shape, bias_first):
     rng = np.random.default_rng(13)
     x = Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -557,10 +717,29 @@ def test_bias_add_input_also_read_by_another_op(shape, bias_first):
     check_handed_over_gradients(loss_fn, [x, b])
 
 
+@pytest.mark.parametrize("bias_first", [True, False])
+def test_conv2d_bias_input_also_read_by_another_op(bias_first):
+    rng = np.random.default_rng(13)
+    shape = (2, 3, 2, 2)
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    k = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
+    r1, r2 = Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape))
+
+    def loss_fn():
+        if bias_first:
+            y, z = T.conv2d(x, k, b=b), T.mul(x, r2)
+        else:
+            z, y = T.mul(x, r2), T.conv2d(x, k, b=b)
+        return T.add(T.sum_all(T.mul(T.mul(y, y), r1)), T.sum_all(T.mul(z, z)))
+
+    check_handed_over_gradients(loss_fn, [x, k, b])
+
+
 def test_bias_add_reshape_matmul_chain():
     rng = np.random.default_rng(14)
-    x = Tensor(rng.standard_normal((2, 3, 2, 2)), requires_grad=True)
-    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal(6), requires_grad=True)
     w = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
     labels = np.array([3, 1])
 
