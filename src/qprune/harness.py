@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import platform
 import time
@@ -78,8 +79,10 @@ class ExperimentConfig:
             raise ConfigError(f"invalid epochs/batch: {self.epochs}/{self.batch_size}")
         if not (0.0 < self.prune_rate < 1.0):
             raise ConfigError(f"prune rate must lie in (0,1), got {self.prune_rate}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not (0.0 < self.lr < math.inf):  # also rejects NaN
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if math.isnan(self.stop_threshold):
+            raise ConfigError(f"stop threshold must be a number, got {self.stop_threshold}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.train_subset < 0:
@@ -127,8 +130,9 @@ def keep_heap_resident() -> bool:
     default glibc hands the freed top of its heap back to the kernel, and
     the next step faults the same ~200 MB in again, page by page.  This sets
     two malloc options with mallopt(3): blocks below 32 MiB come from the
-    heap (larger ones, such as 500-image eval batches, are still mmapped and
-    unmapped on free), and the heap is never trimmed.  Both must be set:
+    heap (larger ones are still mmapped and unmapped on free, which is why
+    ``training.EVAL_BATCH_BYTES`` keeps eval batches under half of it), and
+    the heap is never trimmed.  Both must be set:
     setting either one turns off glibc's dynamic mmap threshold, and the
     trim threshold alone leaves it at its 128 KiB start.
 

@@ -22,6 +22,7 @@ grayscale fourth channel so each pixel is one quaternion (R, G, B, gray).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,6 +164,17 @@ class Network:
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    @cached_property
+    def widest_activation(self) -> int:
+        """Most real values one image holds at any layer boundary, from the
+        packed input to the logits, read off a one-image inference pass."""
+        x = self.prepare_input(np.zeros((1, *self.spec.input_shape), self.dtype))
+        widest = x.data.size
+        for layer in self.layers:
+            x = layer.forward(x)
+            widest = max(widest, x.data.size)
+        return widest
 
     def prepare_input(self, images: np.ndarray) -> Tensor:
         """Adapt a raw [N,C,H,W] image batch to this network's input layout."""

@@ -457,13 +457,14 @@ def maxpool2d(x: Tensor) -> Tensor:
         raise DimensionError(f"maxpool2d needs even spatial extents, got {h}x{w}")
     v0, v1, v2, v3 = (x.data[:, :, i::2, j::2] for i, j in _WINDOW)
     best = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
-    # First window position holding the max, from m_t = (v_t != max) as
-    # int8: m0 * (1 + m1 * (1 + m2)) is 0, 1, 2 or 3.
-    m0, m1, m2 = ((v != best).view(np.int8) for v in (v0, v1, v2))
-    argmax = m0 * (1 + m1 * (1 + m2))
     out = Tensor(best)
 
     def backward(g):
+        # First window position holding the max, from m_t = (v_t != max) as
+        # int8: m0 * (1 + m1 * (1 + m2)) is 0, 1, 2 or 3.  Found here, not in
+        # the forward pass, so inference does not pay for it.
+        m0, m1, m2 = ((v != best).view(np.int8) for v in (v0, v1, v2))
+        argmax = m0 * (1 + m1 * (1 + m2))
         gx = np.empty(x.shape, dtype=g.dtype)
         for t, (i, j) in enumerate(_WINDOW):
             np.multiply(g, argmax == t, out=gx[:, :, i::2, j::2])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -12,9 +12,12 @@ from .errors import NumericalError
 from .models import Network
 from .optim import Adam
 from .pruning import Mask
-from .tensor import Tape, softmax_cross_entropy
+from .tensor import Tape, Tensor, softmax_cross_entropy
 
 EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
+# Half of harness.MMAP_THRESHOLD_BYTES: conv2d's [F, N·(H+2)·(W+2)] output
+# buffer, 1.13x the widest activation at 32x32, then stays on the resident heap.
+EVAL_BATCH_BYTES = 16 * 1024 * 1024
 
 
 class EarlyStopMonitor:
@@ -58,24 +61,34 @@ class TrainRecord:
     best_eval_index: int = -1
 
 
-def evaluate_accuracy(net: Network, data: Dataset, batch_size: int = 500) -> float:
+def eval_batch_size(net: Network) -> int:
+    """Images per evaluation batch: as many as keep the widest activation
+    within ``EVAL_BATCH_BYTES``."""
+    per_image = net.widest_activation * net.dtype.itemsize
+    return max(1, EVAL_BATCH_BYTES // per_image)
+
+
+def _batch_logits(net: Network, data: Dataset) -> Iterator[tuple[Tensor, np.ndarray]]:
+    """Inference-mode logits and labels of ``data``, one batch at a time."""
+    size = eval_batch_size(net)
+    for lo in range(0, len(data), size):
+        images, labels = data.images[lo : lo + size], data.labels[lo : lo + size]
+        yield net.forward(net.prepare_input(images)), labels
+
+
+def evaluate_accuracy(net: Network, data: Dataset) -> float:
     """Fraction of correctly classified examples (inference mode)."""
     correct = 0
-    for lo in range(0, len(data), batch_size):
-        hi = min(lo + batch_size, len(data))
-        logits = net.forward(net.prepare_input(data.images[lo:hi]))
-        correct += int((logits.data.argmax(axis=1) == data.labels[lo:hi]).sum())
+    for logits, labels in _batch_logits(net, data):
+        correct += int((logits.data.argmax(axis=1) == labels).sum())
     return correct / len(data)
 
 
-def evaluate_loss(net: Network, data: Dataset, batch_size: int = 500) -> float:
+def evaluate_loss(net: Network, data: Dataset) -> float:
     """Mean cross-entropy over a dataset (inference mode)."""
     total = 0.0
-    for lo in range(0, len(data), batch_size):
-        hi = min(lo + batch_size, len(data))
-        logits = net.forward(net.prepare_input(data.images[lo:hi]))
-        loss = softmax_cross_entropy(logits, data.labels[lo:hi])
-        total += float(loss.data) * (hi - lo)
+    for logits, labels in _batch_logits(net, data):
+        total += float(softmax_cross_entropy(logits, labels).data) * len(labels)
     return total / len(data)
 
 

@@ -221,12 +221,12 @@ def test_criterion_8a_conv2_accuracy_within_ten_epochs(cifar10_dir):
         for epoch in range(10):
             train(net, train_full, TrainSettings(epochs=1, batch_size=60, lr=spec.lr), rng)
             epochs_used[field] = epoch + 1
-            if evaluate_accuracy(net, probe, batch_size=200) > 0.51:
-                best = evaluate_accuracy(net, test_set, batch_size=200)
+            if evaluate_accuracy(net, probe) > 0.51:
+                best = evaluate_accuracy(net, test_set)
                 if best > 0.50:
                     break
         else:
-            best = evaluate_accuracy(net, test_set, batch_size=200)
+            best = evaluate_accuracy(net, test_set)
         accs[field] = best
     elapsed = time.time() - t0
     report(

@@ -19,7 +19,15 @@ def test_bad_combo_exits_1(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--train-subset", "-500", "train subset"), ("--rounds", "-3", "rounds"), ("--patience", "0", "patience")],
+    [
+        ("--train-subset", "-500", "train subset"),
+        ("--rounds", "-3", "rounds"),
+        ("--patience", "0", "patience"),
+        ("--lr", "nan", "learning rate"),
+        ("--lr", "inf", "learning rate"),
+        ("--lr", "0", "learning rate"),
+        ("--stop-threshold", "nan", "stop threshold"),
+    ],
 )
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, flag, value, message):
     rc = main([

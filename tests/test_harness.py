@@ -69,6 +69,21 @@ def test_invalid_configs_rejected():
         tiny_config(nonsense=1)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1e-3), dict(stop_threshold=float("nan"))],
+)
+def test_non_finite_config_values_rejected(overrides):
+    with pytest.raises(ConfigError):
+        tiny_config(**overrides)
+
+
+def test_large_learning_rate_and_threshold_stay_valid():
+    # lr 1e30 drives a trial to a non-finite loss; a threshold above 1 fails every level
+    cfg = tiny_config(lr=1e30, stop_threshold=1.1)
+    assert (cfg.lr, cfg.stop_threshold) == (1e30, 1.1)
+
+
 # ---------------------------------------------------------------------------
 # trials
 

@@ -5,6 +5,7 @@ from qprune import tensor as T
 from qprune.errors import ConfigError
 from qprune.layers import Conv2d, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import (
+    POOL,
     ModelSpec,
     Network,
     build_network,
@@ -235,3 +236,45 @@ def test_pool_before_relu_gives_the_same_training_step(name, field):
     assert len(grads) == len(names)
     for got, want in zip(grads, relu_first[2]):
         np.testing.assert_array_equal(got, want)
+
+
+# Counted by hand: (packed input, each conv output C·H·W, each FC width, classes).
+# The quaternion CIFAR input gains a grayscale channel, four values per pixel.
+_WIDEST = {
+    ("lenet300", "real"): max(784, 300, 100, 10),
+    ("lenet300", "quat"): max(784, 300, 100, 10),
+    ("lenet12", "real"): max(784, 12, 10),
+    ("lenet12", "quat"): max(784, 12, 10),
+    ("conv2", "real"): max(3 * 32 * 32, 64 * 32 * 32, 256, 10),
+    ("conv2", "quat"): max(4 * 32 * 32, 64 * 32 * 32, 256, 10),
+    ("conv4", "real"): max(3 * 32 * 32, 64 * 32 * 32, 128 * 16 * 16, 256, 100),
+    ("conv4", "quat"): max(4 * 32 * 32, 64 * 32 * 32, 128 * 16 * 16, 256, 100),
+    ("conv6", "real"): max(3 * 32 * 32, 64 * 32 * 32, 128 * 16 * 16, 256 * 8 * 8, 256, 100),
+    ("conv6", "quat"): max(4 * 32 * 32, 64 * 32 * 32, 128 * 16 * 16, 256 * 8 * 8, 256, 100),
+}
+
+
+@pytest.mark.parametrize("name, field", sorted(_WIDEST))
+def test_widest_activation_is_counted_by_hand(name, field):
+    dataset = "mnist" if name.startswith("lenet") else "cifar10"
+    net = build_network(model_spec(name, dataset, field))
+    assert net.widest_activation == _WIDEST[(name, field)]
+    if name in ("conv4", "conv6"):
+        net = build_network(model_spec(name, "cifar100", field))
+        assert net.widest_activation == _WIDEST[(name, field)]
+
+
+def test_widest_activation_counts_the_input_and_the_classes():
+    # neither a hidden width nor a conv output is the widest here
+    wide_input = ModelSpec("m", "cifar10", "real", (2, POOL), (8,), 10, 1, 1, 1e-3)
+    assert build_network(wide_input).widest_activation == 3 * 32 * 32
+    many_classes = ModelSpec("m", "mnist", "real", (), (8,), 1000, 1, 1, 1e-3)
+    assert build_network(many_classes).widest_activation == 1000
+
+
+def test_widest_activation_follows_the_layers():
+    rng = np.random.default_rng(0)
+    spec = model_spec("lenet12", "mnist", "real")
+    layers = [Linear(784, 2000, rng, np.float32), ReLU(), Linear(2000, 10, rng, np.float32)]
+    net = Network(spec, layers, np.float32)
+    assert net.widest_activation == 2000

@@ -1,12 +1,23 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qprune.training as training
 from conftest import synthetic_dataset
 from qprune.errors import NumericalError
-from qprune.models import build_network, model_spec
+from qprune.harness import MMAP_THRESHOLD_BYTES
+from qprune.models import _ALLOWED_DATASETS, FIELDS, MODEL_NAMES, build_network, model_spec
 from qprune.training import (
+    EVAL_BATCH_BYTES,
     EarlyStopMonitor,
     TrainSettings,
+    eval_batch_size,
     evaluate_accuracy,
     evaluate_loss,
     train,
@@ -109,3 +120,100 @@ def test_evaluate_accuracy_on_constant_predictions():
     net = build_network(model_spec("lenet12", "mnist", "real"), seed=0)
     acc = evaluate_accuracy(net, ds)
     assert 0.0 <= acc <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# evaluation batches
+
+ALLOWED_TRIPLES = [(m, d, f) for m in MODEL_NAMES for d in _ALLOWED_DATASETS[m] for f in FIELDS]
+
+
+def test_eval_batch_bytes_keeps_conv_buffers_under_the_mmap_threshold():
+    # conv2d's padded [F, N·(H+2)·(W+2)] buffer is 1.13x the widest activation
+    assert 2 * EVAL_BATCH_BYTES <= MMAP_THRESHOLD_BYTES
+
+
+@pytest.mark.parametrize("name, dataset, field", ALLOWED_TRIPLES)
+def test_eval_batch_fits_the_budget_and_the_training_batch(name, dataset, field):
+    spec = model_spec(name, dataset, field)
+    for dtype in (np.float32, np.float64):
+        net = build_network(spec, dtype=dtype)
+        size = eval_batch_size(net)
+        assert size * net.widest_activation * np.dtype(dtype).itemsize <= EVAL_BATCH_BYTES
+        if dtype is np.float32:
+            assert size >= spec.batch_size
+            assert size == (5349 if dataset == "mnist" else 64)
+
+
+def test_eval_batch_size_is_at_least_one(monkeypatch):
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1)
+    assert eval_batch_size(build_network(model_spec("lenet12", "mnist", "real"))) == 1
+
+
+@pytest.mark.parametrize(
+    "name, dataset, field, n",
+    [("lenet12", "mnist", "real", 50), ("conv2", "cifar10", "quat", 9)],
+)
+def test_evaluation_does_not_depend_on_the_batch_split(monkeypatch, name, dataset, field, n):
+    spec = model_spec(name, dataset, field)
+    net = build_network(spec, dtype=np.float64, seed=2)
+    data = synthetic_dataset(n=n, shape=spec.input_shape, seed=3)
+    per_image = net.widest_activation * 8
+    results = []
+    for batch in (1, 7, n + 1):  # 7 leaves a partial last batch
+        monkeypatch.setattr(training, "EVAL_BATCH_BYTES", batch * per_image)
+        assert eval_batch_size(net) == batch
+        results.append((evaluate_accuracy(net, data), evaluate_loss(net, data)))
+    accuracies, losses = zip(*results)
+    assert accuracies[0] == accuracies[1] == accuracies[2]
+    np.testing.assert_allclose(losses[1:], losses[0], rtol=1e-12, atol=0)
+
+
+def test_conv2_eval_memory_peak_is_bounded():
+    spec = model_spec("conv2", "cifar10", "quat")
+    net = build_network(spec, seed=0)
+    data = synthetic_dataset(n=200, shape=spec.input_shape, seed=4)
+    tracemalloc.start()
+    try:
+        evaluate_accuracy(net, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 64-image batches peak near 78 MiB; 500-image batches took 222 MiB
+    assert peak < 96 * 2**20
+
+
+_EVAL_FAULT_PROBE = """
+import resource
+import numpy as np
+from qprune.data import Dataset
+from qprune.harness import keep_heap_resident
+from qprune.models import build_network, model_spec
+from qprune.training import evaluate_accuracy
+
+assert keep_heap_resident()
+spec = model_spec("conv2", "cifar10", "quat")
+net = build_network(spec, seed=0)
+images = np.random.default_rng(0).random((200, *spec.input_shape), dtype=np.float32)
+data = Dataset(images, np.arange(200) % 10, 10)
+evaluate_accuracy(net, data)  # warm-up: maps the heap
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    evaluate_accuracy(net, data)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
+def test_conv2_eval_takes_no_page_faults_after_warm_up():
+    # the heap policy is process-wide, so it is measured in a child process
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run(
+        [sys.executable, "-c", _EVAL_FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    faults = json.loads(probe.stdout)
+    assert len(faults) == 3
+    assert max(faults) < 100, faults
