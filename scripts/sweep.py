@@ -12,8 +12,9 @@ import argparse
 import os
 import sys
 
-from qprune.harness import ExperimentConfig, emit_results, run_experiment
-from qprune.models import _ALLOWED_DATASETS, DATASET_NAMES
+from qprune.errors import ConfigError
+from qprune.harness import ExperimentConfig, check_output_dir, emit_results, run_experiment
+from qprune.models import ALLOWED_DATASETS, DATASET_NAMES, FIELDS
 
 
 def main() -> int:
@@ -31,7 +32,7 @@ def main() -> int:
     parser.add_argument("--early-stop", action="store_true")
     args = parser.parse_args()
 
-    defined = [m for m, datasets in _ALLOWED_DATASETS.items() if args.dataset in datasets]
+    defined = [m for m, datasets in ALLOWED_DATASETS.items() if args.dataset in datasets]
     models = args.models or defined
     undefined = [m for m in models if m not in defined]
     if undefined:
@@ -40,14 +41,19 @@ def main() -> int:
     out_root = args.out or os.path.join("results", args.dataset)
 
     for model in models:
-        for field in ("real", "quat"):
-            config = ExperimentConfig.from_model_dataset(
-                model, args.dataset, field,
-                trials=args.trials, rounds=args.rounds, workers=args.workers,
-                base_seed=args.seed, early_stop=args.early_stop or None,
-                train_subset=args.subset, data_dir=data_dir,
-            )
+        for field in FIELDS:
             out_dir = os.path.join(out_root, f"{model}-{field}")
+            try:
+                config = ExperimentConfig.from_model_dataset(
+                    model, args.dataset, field,
+                    trials=args.trials, rounds=args.rounds, workers=args.workers,
+                    base_seed=args.seed, early_stop=args.early_stop or None,
+                    train_subset=args.subset, data_dir=data_dir,
+                )
+                check_output_dir(out_dir)
+            except ConfigError as e:
+                print(f"config error: {e}", file=sys.stderr)
+                return 1
             print(f"== {model}/{args.dataset}/{field} -> {out_dir}")
             result = run_experiment(config)
             emit_results(result, out_dir)

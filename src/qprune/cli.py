@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, DataFormatError, NumericalError
+from .models import DATASET_NAMES, FIELDS, MODEL_NAMES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,9 +24,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a training + pruning experiment")
-    run.add_argument("--model", required=True, choices=["lenet300", "lenet12", "conv2", "conv4", "conv6"])
-    run.add_argument("--dataset", required=True, choices=["mnist", "cifar10", "cifar100"])
-    run.add_argument("--field", required=True, choices=["real", "quat"])
+    run.add_argument("--model", required=True, choices=MODEL_NAMES)
+    run.add_argument("--dataset", required=True, choices=DATASET_NAMES)
+    run.add_argument("--field", required=True, choices=FIELDS)
     run.add_argument("--trials", type=int, default=None, help="trial count (default 5)")
     run.add_argument("--epochs", type=int, default=None, help="override the per-model default")
     run.add_argument("--batch", type=int, default=None, help="override the per-model default")
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from .harness import ExperimentConfig, emit_results, run_experiment
+    from .harness import ExperimentConfig, check_output_dir, emit_results, run_experiment
 
     config = ExperimentConfig.from_model_dataset(
         args.model,
@@ -69,6 +70,7 @@ def _cmd_run(args) -> int:
         rounds=args.rounds,
         train_subset=args.train_subset,
     )
+    check_output_dir(config.out_dir)
     result = run_experiment(config)
     paths = emit_results(result, config.out_dir)
     for t in result.trials:
@@ -94,6 +96,8 @@ def _cmd_verify(args) -> int:
         quat_layer_max_error,
     )
 
+    if args.pairs < 1:
+        raise ConfigError(f"pairs must be >= 1, got {args.pairs}")
     failed = False
 
     def report(name: str, ok: bool, detail: str) -> None:

@@ -59,14 +59,6 @@ class Dataset:
         return Dataset(self.images[:n], self.labels[:n], self.num_classes)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Validation split drawn from the tail of a seeded shuffle."""
-
-    validation_size: int = 5000
-    seed: int = 0
-
-
 def _read_file(path: str) -> bytes:
     if path.endswith(".gz"):
         with gzip.open(path, "rb") as f:
@@ -102,14 +94,6 @@ def _parse_idx(buf: bytes, path: str, expect_magic: int, expect_dims: int) -> np
     return np.frombuffer(buf, dtype=np.uint8, offset=header_end).reshape(dims)
 
 
-def load_idx_images(path: str) -> np.ndarray:
-    return _parse_idx(_read_file(path), path, IMAGE_MAGIC, 3)
-
-
-def load_idx_labels(path: str) -> np.ndarray:
-    return _parse_idx(_read_file(path), path, LABEL_MAGIC, 1)
-
-
 def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
     """Load the four standard IDX files from ``directory``."""
     out = []
@@ -119,8 +103,8 @@ def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
     ):
         img_path = _find(directory, img_name)
         lbl_path = _find(directory, lbl_name)
-        images = load_idx_images(img_path)
-        labels = load_idx_labels(lbl_path)
+        images = _parse_idx(_read_file(img_path), img_path, IMAGE_MAGIC, 3)
+        labels = _parse_idx(_read_file(lbl_path), lbl_path, LABEL_MAGIC, 1)
         if images.shape[0] != labels.shape[0]:
             raise DataFormatError(
                 f"{img_path}: {images.shape[0]} images but {lbl_path} has {labels.shape[0]} labels"
@@ -191,17 +175,17 @@ def add_grayscale_channel(img: np.ndarray) -> np.ndarray:
     return out if batched else out[0]
 
 
-def split_train_validation(train: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split_train_validation(train: Dataset, validation_size: int, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic seeded shuffle; the last ``validation_size`` examples
     become the validation set."""
-    k = spec.validation_size
+    k = validation_size
     n = len(train)
     if k >= n:
         raise ValueError(f"validation size {k} must be smaller than the training set ({n})")
     if k == 0:
         empty = Dataset(train.images[:0], train.labels[:0], train.num_classes)
         return train, empty
-    perm = np.random.default_rng(spec.seed).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     tr, va = perm[: n - k], perm[n - k :]
     return (
         Dataset(train.images[tr], train.labels[tr], train.num_classes),

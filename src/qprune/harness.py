@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .data import Dataset, SplitSpec, load_cifar, load_mnist, split_train_validation
+from .data import Dataset, load_cifar, load_mnist, split_train_validation
 from .errors import ConfigError, NumericalError
 from .models import ModelSpec, build_network, count_parameters, model_spec
 from .pruning import PruneSchedule, RoundResult, iterative_lottery
@@ -73,6 +73,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         model_spec(self.model, self.dataset, self.field)  # raises ConfigError on bad triples
+        if self.base_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.base_seed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.epochs < 0 or self.batch_size < 1:
@@ -190,12 +192,6 @@ def _validation_size(n_train: int) -> int:
     return VALIDATION_SIZE if n_train > 5 * VALIDATION_SIZE else max(1, n_train // 5)
 
 
-def _real_prunable_count(config: ExperimentConfig) -> int:
-    """Prunable weight count of the real twin (shared sweep axis)."""
-    real = model_spec(config.model, config.dataset, "real")
-    return count_parameters(build_network(real, seed=0), include_biases=False)
-
-
 def run_trial(
     config: ExperimentConfig,
     seed: int,
@@ -218,7 +214,7 @@ def run_trial(
     train_set = train_full
     if config.early_stop:
         vs = _validation_size(len(train_full))
-        train_set, validation = split_train_validation(train_full, SplitSpec(vs, seed))
+        train_set, validation = split_train_validation(train_full, vs, seed)
 
     net = build_network(spec, rng=rng)
     settings = TrainSettings(
@@ -282,22 +278,20 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
 
     ok = [t for t in trials if not t.failed]
     curve_stats = []
-    if ok:
-        for epoch in range(max((len(t.curve) for t in ok), default=0)):
-            vals = [t.curve[epoch] for t in ok if epoch < len(t.curve)]
-            mean, std = _mean_std(vals)
-            curve_stats.append((epoch, mean, std, len(vals)))
+    for epoch in range(max((len(t.curve) for t in ok), default=0)):
+        vals = [t.curve[epoch] for t in ok if epoch < len(t.curve)]
+        mean, std = _mean_std(vals)
+        curve_stats.append((epoch, mean, std, len(vals)))
 
-    real_total = _real_prunable_count(config)
+    # The real twin's prunable weight count: the real-relative sparsity axis.
+    real = build_network(model_spec(config.model, config.dataset, "real"), seed=0)
+    real_total = count_parameters(real.prunable_parameters())
     sweep_stats = []
-    if ok:
-        for level in range(max((len(t.rounds) for t in ok), default=0)):
-            rounds = [t.rounds[level] for t in ok if level < len(t.rounds)]
-            vals = [r.accuracy for r in rounds]
-            mean, std = _mean_std(vals)
-            sweep_stats.append(
-                (rounds[0].sparsity, mean, std, len(vals), rounds[0].kept / real_total)
-            )
+    for level in range(max((len(t.rounds) for t in ok), default=0)):
+        rounds = [t.rounds[level] for t in ok if level < len(t.rounds)]
+        vals = [r.accuracy for r in rounds]
+        mean, std = _mean_std(vals)
+        sweep_stats.append((rounds[0].sparsity, mean, std, len(vals), rounds[0].kept / real_total))
 
     return AggregateResult(
         config=config,
@@ -309,6 +303,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         wall_seconds=time.monotonic() - started,
         heap_resident=heap_resident,
     )
+
+
+def check_output_dir(directory: str) -> None:
+    """Raise ``ConfigError`` unless ``directory`` is a writable directory or
+    can be made one, so that a bad output path fails before any training."""
+    existing = os.path.abspath(directory)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write results to {directory}: {existing} is not a writable directory")
 
 
 def emit_results(result: AggregateResult, directory: str) -> list[str]:

@@ -61,7 +61,7 @@ _FC_PLANS = {
     "conv4": (256, 256),
     "conv6": (256, 256),
 }
-_ALLOWED_DATASETS = {
+ALLOWED_DATASETS = {
     "lenet300": ("mnist",),
     "lenet12": ("mnist",),
     "conv2": ("cifar10",),
@@ -109,9 +109,9 @@ def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
         raise ConfigError(f"unknown dataset {dataset!r}; expected one of {DATASET_NAMES}")
     if field not in FIELDS:
         raise ConfigError(f"unknown field {field!r}; expected one of {FIELDS}")
-    if dataset not in _ALLOWED_DATASETS[name]:
+    if dataset not in ALLOWED_DATASETS[name]:
         raise ConfigError(
-            f"model {name!r} is defined for datasets {_ALLOWED_DATASETS[name]}, not {dataset!r}"
+            f"model {name!r} is defined for datasets {ALLOWED_DATASETS[name]}, not {dataset!r}"
         )
     epochs, batch, lr = _TRAIN_DEFAULTS[name]
     return ModelSpec(
@@ -149,16 +149,6 @@ class Network:
 
     def prunable_parameters(self) -> list[Param]:
         return [p for p in self._params if p.prunable]
-
-    def param(self, name: str) -> Param:
-        for p in self._params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
-    def zero_grad(self) -> None:
-        for p in self._params:
-            p.tensor.grad = None
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self.layers:
@@ -263,20 +253,6 @@ def build_network(spec: ModelSpec, dtype=np.float32, rng=None, seed: int = 0) ->
     return Network(spec, layers, dtype)
 
 
-def count_parameters(net: Network, include_biases: bool = True, conv_only: bool = False) -> int:
-    """Total scalar parameter count over the registry.
-
-    ``conv_only`` restricts to convolution kernels (the Table-style
-    "conv weights" column); ``include_biases=False`` restricts to prunable
-    weight tensors.
-    """
-    total = 0
-    for i, layer in enumerate(net.layers):
-        is_conv = isinstance(layer, (Conv2d, QuatConv2d))
-        if conv_only and not is_conv:
-            continue
-        for _, tensor, prunable in layer.params():
-            if not prunable and (not include_biases or conv_only):
-                continue
-            total += tensor.size
-    return total
+def count_parameters(params: list[Param]) -> int:
+    """Total scalar count of ``params``, e.g. ``net.prunable_parameters()``."""
+    return sum(p.tensor.size for p in params)

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DimensionError, StateError
 from .models import Network
 
+# Successive pruned levels below the stop threshold that end the loop.
+CONSECUTIVE_FAILURES = 2
+
 
 @dataclass
 class Mask:
@@ -48,7 +51,6 @@ class Snapshot:
 class PruneSchedule:
     rate: float = 0.2
     stop_threshold: float = 0.3
-    consecutive_failures: int = 2
 
     def __post_init__(self):
         if not (0.0 < self.rate < 1.0):
@@ -128,18 +130,6 @@ def global_magnitude_prune(net: Network, mask: Mask, rate: float) -> Mask:
     return new
 
 
-def apply_mask(net: Network, mask: Mask) -> Network:
-    """Force effective weights to w*m by zeroing pruned positions in place.
-
-    Together with mask-aware optimizer steps this keeps pruned weights at
-    exactly zero on every forward pass.
-    """
-    _check_mask(net, mask)
-    for p in net.prunable_parameters():
-        p.tensor.data *= mask.arrays[p.name]
-    return net
-
-
 def rewind(net: Network, snapshot: Snapshot, mask: Mask) -> Network:
     """Reset kept weights (and all biases) to theta_0; pruned entries to 0."""
     _check_mask(net, mask)
@@ -191,6 +181,6 @@ def iterative_lottery(
         results.append(RoundResult(sparsity(mask), acc, mask.kept_count()))
         rounds += 1
         failures = failures + 1 if acc < schedule.stop_threshold else 0
-        if failures >= schedule.consecutive_failures:
+        if failures >= CONSECUTIVE_FAILURES:
             break
     return results

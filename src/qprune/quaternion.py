@@ -33,11 +33,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.x, self.y, self.z], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        r, x, y, z = np.asarray(a, dtype=np.float64).reshape(4)
-        return cls(float(r), float(x), float(y), float(z))
-
 
 def hamilton(a: Quaternion, b: Quaternion) -> Quaternion:
     """Hamilton product a (x) b, componentwise."""

@@ -54,23 +54,17 @@ class Tensor:
     def _needs_grad(self) -> bool:
         return self.requires_grad or self._recorded
 
-    def _accum_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Add ``g`` to ``.grad``.  A first contribution is copied unless the
-        backward rule marks it ``owned``: an array that belongs to this parent
-        alone, either fresh or the node's own ``out.grad`` (or a view of it).
-        Handing over ``out.grad`` is safe because, once a node's backward has
-        run, nothing reads its ``out.grad`` again.  A buffer given to several
-        parents is copied, since ``.grad`` is later added to in place."""
+    def _accum_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``.grad``.  A first contribution is kept as it is,
+        converted only to this tensor's dtype, and later ones are added to it
+        in place.  So ``g`` must belong to this parent alone: fresh, or the
+        node's own ``out.grad`` (or a view of it), which nothing reads once
+        the node's backward has run.  An op that hands one buffer to several
+        parents copies it first."""
         if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g if g.dtype == self.data.dtype else g.astype(self.data.dtype)
         else:
             self.grad += g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -142,54 +136,6 @@ def _maybe_record(out: Tensor, parents: Sequence[Tensor], backward_fn) -> Tensor
 # elementwise / structural ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data + b.data)
-
-    def backward(g):
-        if a._needs_grad():
-            a._accum_grad(g)
-        if b._needs_grad():
-            b._accum_grad(g)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = Tensor(a.data * b.data)
-
-    def backward(g):
-        if a._needs_grad():
-            a._accum_grad(g * b.data, owned=True)
-        if b._needs_grad():
-            b._accum_grad(g * a.data, owned=True)
-
-    return _maybe_record(out, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-
-    def backward(g):
-        a._accum_grad(-g, owned=True)
-
-    return _maybe_record(out, (a,), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * a.data.dtype.type(c))
-
-    def backward(g):
-        a._accum_grad(g * a.data.dtype.type(c), owned=True)
-
-    return _maybe_record(out, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x) as x * (x > 0); derivative 0 at x == 0.
 
@@ -200,7 +146,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(a.data * mask)
 
     def backward(g):
-        a._accum_grad(g * mask, owned=True)
+        a._accum_grad(g * mask)
 
     return _maybe_record(out, (a,), backward)
 
@@ -212,7 +158,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise DimensionError(f"reshape: cannot view {a.shape} as {tuple(shape)}") from e
 
     def backward(g):
-        a._accum_grad(g.reshape(a.shape), owned=True)
+        a._accum_grad(g.reshape(a.shape))
 
     return _maybe_record(out, (a,), backward)
 
@@ -220,22 +166,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 def flatten(a: Tensor) -> Tensor:
     """Collapse all but the leading (batch) axis, row-major."""
     return reshape(a, (a.shape[0], int(np.prod(a.shape[1:]))))
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p._needs_grad():
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p._accum_grad(g[tuple(idx)])
-
-    return _maybe_record(out, parts, backward)
 
 
 # Block (out, in) of the Hamilton matrix is sign * w_c.  Both come from
@@ -294,19 +224,9 @@ def hamilton_block(parts: Sequence[Tensor], out_axis: int) -> Tensor:
                     sums[c] -= blk
         for p, s in zip(parts, sums):
             if p._needs_grad():
-                p._accum_grad(s, owned=True)
+                p._accum_grad(s)
 
     return _maybe_record(out, parts, backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    out = Tensor(a.data.sum())
-
-    def backward(g):
-        a._accum_grad(np.broadcast_to(g, a.shape))
-
-    return _maybe_record(out, (a,), backward)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -323,9 +243,9 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if x._needs_grad():
-            x._accum_grad(g, owned=True)
+            x._accum_grad(g)
         if b._needs_grad():
-            b._accum_grad(g.sum(axis=0), owned=True)
+            b._accum_grad(g.sum(axis=0))
 
     return _maybe_record(out, (x, b), backward)
 
@@ -344,9 +264,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a._needs_grad():
-            a._accum_grad(g @ b.data.T, owned=True)
+            a._accum_grad(g @ b.data.T)
         if b._needs_grad():
-            b._accum_grad(a.data.T @ g, owned=True)
+            b._accum_grad(a.data.T @ g)
 
     return _maybe_record(out, (a, b), backward)
 
@@ -420,7 +340,7 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
 
     def backward(g):
         if b is not None and b._needs_grad():
-            b._accum_grad(g.sum(axis=(0, 2, 3)), owned=True)
+            b._accum_grad(g.sum(axis=(0, 2, 3)))
         gp = np.zeros((f, n, h + 2, w + 2), dtype=dtype)
         gp[:, :, :h, :w] = g.transpose(1, 0, 2, 3)
         gq = gp.reshape(f, p)
@@ -429,7 +349,7 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
             part = np.empty_like(gk)  # reused: a product allocated per block fragments the heap
             for lo, hi in blocks:
                 gk += np.matmul(patches(lo, hi), gq[:, lo:hi].T, out=part)
-            k._accum_grad(gk.reshape(3, 3, c, f).transpose(3, 2, 0, 1).copy(), owned=True)
+            k._accum_grad(gk.reshape(3, 3, c, f).transpose(3, 2, 0, 1).copy())
         if x._needs_grad():
             gxp = np.zeros((c, p), dtype=dtype)
             for lo, hi in blocks:  # the patch buffer holds each block's input gradient
@@ -437,7 +357,7 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
                 for t, off in enumerate(offsets):
                     gxp[:, lo + off : hi + off] += gblock[t * c : (t + 1) * c]
             gx = gxp.reshape(c, n, h + 2, w + 2)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).copy()
-            x._accum_grad(gx, owned=True)
+            x._accum_grad(gx)
 
     return _maybe_record(out, parents, backward)
 
@@ -468,7 +388,7 @@ def maxpool2d(x: Tensor) -> Tensor:
         gx = np.empty(x.shape, dtype=g.dtype)
         for t, (i, j) in enumerate(_WINDOW):
             np.multiply(g, argmax == t, out=gx[:, :, i::2, j::2])
-        x._accum_grad(gx, owned=True)
+        x._accum_grad(gx)
 
     return _maybe_record(out, (x,), backward)
 
@@ -499,6 +419,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward(g):
         p = np.exp(logp)
         p[np.arange(n), labels] -= 1
-        logits._accum_grad(g * p / logits.data.dtype.type(n), owned=True)
+        logits._accum_grad(g * p / logits.data.dtype.type(n))
 
     return _maybe_record(out, (logits,), backward)

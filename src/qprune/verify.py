@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .layers import Conv2d, Flatten, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
-from .models import build_network, count_parameters, model_spec
+from .layers import Conv2d, Flatten, Linear, MaxPool2d, Param, QuatConv2d, QuatLinear, ReLU
+from .models import Network, build_network, count_parameters, model_spec
 from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
 
@@ -195,7 +195,7 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # parameter-count reproduction
 
-# printed (rounded) totals: model -> {(field, conv_only): printed value}
+# printed (rounded) totals: (model, field, conv kernels only) -> printed value
 PRINTED_COUNTS = {
     ("lenet300", "real", False): 266_600,
     ("lenet300", "quat", False): 67_700,
@@ -222,33 +222,32 @@ EXACT_COUNTS = {
     ("conv6", "real", True): 1_144_512,
 }
 
+_DATASET_FOR = {"lenet300": "mnist", "conv2": "cifar10", "conv4": "cifar10", "conv6": "cifar10"}
+
+
+def conv_kernels(net: Network) -> list[Param]:
+    """The conv kernels: the network's prunable 4-D tensors."""
+    return [p for p in net.prunable_parameters() if p.tensor.data.ndim == 4]
+
+
+def _count_rows(table: dict) -> list[tuple[str, int, int]]:
+    """(label, computed, table value) per entry, one network per (model, field)."""
+    nets = {(m, f): build_network(model_spec(m, _DATASET_FOR[m], f), seed=0) for m, f, _ in table}
+    rows = []
+    for (m, f, conv), value in sorted(table.items()):
+        params = conv_kernels(nets[m, f]) if conv else nets[m, f].parameters()
+        rows.append((f"{m}/{f}/{'conv' if conv else 'all'}", count_parameters(params), value))
+    return rows
+
 
 def parameter_count_report() -> list[tuple[str, int, int, float]]:
     """(label, computed, printed, relative deviation) per table entry."""
-    dataset_for = {"lenet300": "mnist", "conv2": "cifar10", "conv4": "cifar10", "conv6": "cifar10"}
-    nets = {}
-
-    def net_for(model, fld):
-        if (model, fld) not in nets:
-            spec = model_spec(model, dataset_for[model], fld)
-            nets[(model, fld)] = build_network(spec, seed=0)
-        return nets[(model, fld)]
-
-    rows = []
-    for (model, fld, conv_only), printed in sorted(PRINTED_COUNTS.items()):
-        computed = count_parameters(net_for(model, fld), include_biases=True, conv_only=conv_only)
-        label = f"{model}/{fld}/{'conv' if conv_only else 'all'}"
-        rows.append((label, computed, printed, abs(computed - printed) / printed))
-    return rows
+    return [
+        (label, computed, printed, abs(computed - printed) / printed)
+        for label, computed, printed in _count_rows(PRINTED_COUNTS)
+    ]
 
 
 def exact_count_report() -> list[tuple[str, int, int]]:
-    dataset_for = {"lenet300": "mnist", "conv2": "cifar10", "conv4": "cifar10", "conv6": "cifar10"}
-    rows = []
-    for (model, fld, conv_only), expected in sorted(EXACT_COUNTS.items()):
-        spec = model_spec(model, dataset_for[model], fld)
-        net = build_network(spec, seed=0)
-        computed = count_parameters(net, include_biases=not conv_only, conv_only=conv_only)
-        label = f"{model}/{fld}/{'conv' if conv_only else 'all'}"
-        rows.append((label, computed, expected))
-    return rows
+    """(label, computed, exact) per closed-form entry."""
+    return _count_rows(EXACT_COUNTS)

@@ -253,7 +253,7 @@ def test_criterion_8b_conv2_pipeline_end_to_end(cifar10_dir, tmp_path):
     with open(tmp_path / "sparsity_sweep.csv") as f:
         rows = list(csv.DictReader(f))
     ladder = [float(r["sparsity_fraction"]) for r in rows]
-    total = count_parameters(build_network(config.spec(), seed=0), include_biases=False)
+    total = count_parameters(build_network(config.spec(), seed=0).prunable_parameters())
     k1 = total - int(0.2 * total)
     k2 = k1 - int(0.2 * k1)
     ladder_ok = ladder == [1.0, k1 / total, k2 / total]
@@ -268,8 +268,8 @@ def test_criterion_8b_conv2_pipeline_end_to_end(cifar10_dir, tmp_path):
 
 
 def test_criterion_8c_conv2_parameter_ratio():
-    real = count_parameters(build_network(model_spec("conv2", "cifar10", "real"), seed=0))
-    quat = count_parameters(build_network(model_spec("conv2", "cifar10", "quat"), seed=0))
+    real = count_parameters(build_network(model_spec("conv2", "cifar10", "real"), seed=0).parameters())
+    quat = count_parameters(build_network(model_spec("conv2", "cifar10", "quat"), seed=0).parameters())
     ratio = quat / real
     report(
         "criterion-8c conv2 parameter ratio",

@@ -27,6 +27,7 @@ def test_bad_combo_exits_1(capsys):
         ("--lr", "inf", "learning rate"),
         ("--lr", "0", "learning rate"),
         ("--stop-threshold", "nan", "stop threshold"),
+        ("--seed", "-1", "seed"),
     ],
 )
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, flag, value, message):
@@ -38,6 +39,31 @@ def test_bad_numeric_flag_exits_1(tmp_path, capsys, flag, value, message):
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_verify_without_pairs_exits_1(capsys, pairs):
+    rc = main(["verify", "--pairs", pairs])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "config error" in captured.err and "pairs" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+def test_unwritable_out_exits_1_before_training(tmp_path, capsys, monkeypatch, out):
+    make_mnist_files(tmp_path, n_train=240, n_test=60)
+    (tmp_path / "a_file").write_text("not a directory")
+    calls = []
+    monkeypatch.setattr("qprune.harness.run_experiment", lambda config: calls.append(config))
+    rc = main([
+        "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / out), "--trials", "1", "--epochs", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "a_file" in err
+    assert calls == []
 
 
 def test_missing_data_dir_exits_2(tmp_path, capsys):

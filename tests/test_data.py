@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import make_mnist_files, write_idx_images, write_idx_labels
 from qprune.data import (
     Dataset,
-    SplitSpec,
     add_grayscale_channel,
     load_cifar,
     load_mnist,
@@ -228,14 +227,14 @@ def make_dataset(n, seed=0):
 
 def test_split_size_zero_is_identity():
     ds = make_dataset(20)
-    train, val = split_train_validation(ds, SplitSpec(0, seed=1))
+    train, val = split_train_validation(ds, 0, seed=1)
     assert len(val) == 0
     np.testing.assert_array_equal(train.images, ds.images)
 
 
 def test_split_5000_is_disjoint(tmp_path):
     ds = make_dataset(60)
-    train, val = split_train_validation(ds, SplitSpec(15, seed=2))
+    train, val = split_train_validation(ds, 15, seed=2)
     assert len(train) == 45 and len(val) == 15
     # disjointness via unique image fingerprints
     fp = lambda d: {bytes(img) for img in d.images.reshape(len(d), -1).view(np.uint8)}
@@ -244,15 +243,15 @@ def test_split_5000_is_disjoint(tmp_path):
 
 def test_split_same_seed_identical():
     ds = make_dataset(40)
-    a_train, a_val = split_train_validation(ds, SplitSpec(10, seed=3))
-    b_train, b_val = split_train_validation(ds, SplitSpec(10, seed=3))
+    a_train, a_val = split_train_validation(ds, 10, seed=3)
+    b_train, b_val = split_train_validation(ds, 10, seed=3)
     np.testing.assert_array_equal(a_train.images, b_train.images)
     np.testing.assert_array_equal(a_val.labels, b_val.labels)
 
 
 def test_split_too_large_rejected():
     with pytest.raises(ValueError):
-        split_train_validation(make_dataset(10), SplitSpec(10, seed=0))
+        split_train_validation(make_dataset(10), 10, seed=0)
 
 
 def test_loading_twice_is_bit_identical(tmp_path):

@@ -67,6 +67,8 @@ def test_invalid_configs_rejected():
         tiny_config(prune_rate=1.0)
     with pytest.raises(ConfigError):
         tiny_config(nonsense=1)
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_config(base_seed=-1)
 
 
 @pytest.mark.parametrize(

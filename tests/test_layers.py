@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ops
 from qprune import tensor as T
 from qprune.errors import DimensionError
 from qprune.layers import Conv2d, Linear, QuatConv2d, QuatLinear, ReLU
@@ -155,23 +156,23 @@ def test_parameter_counts_per_layer():
 def concat_linear_block(w_r, w_x, w_y, w_z):
     # Row blocks indexed by input component, columns by output component.
     rows = [
-        T.concat([w_r, w_x, w_y, w_z], axis=1),
-        T.concat([T.neg(w_x), w_r, w_z, T.neg(w_y)], axis=1),
-        T.concat([T.neg(w_y), T.neg(w_z), w_r, w_x], axis=1),
-        T.concat([T.neg(w_z), w_y, T.neg(w_x), w_r], axis=1),
+        ops.concat([w_r, w_x, w_y, w_z], axis=1),
+        ops.concat([ops.neg(w_x), w_r, w_z, ops.neg(w_y)], axis=1),
+        ops.concat([ops.neg(w_y), ops.neg(w_z), w_r, w_x], axis=1),
+        ops.concat([ops.neg(w_z), w_y, ops.neg(w_x), w_r], axis=1),
     ]
-    return T.concat(rows, axis=0)
+    return ops.concat(rows, axis=0)
 
 
 def concat_conv_block(k_r, k_x, k_y, k_z):
     # Row blocks indexed by output component, columns by input component.
     rows = [
-        T.concat([k_r, T.neg(k_x), T.neg(k_y), T.neg(k_z)], axis=1),
-        T.concat([k_x, k_r, T.neg(k_z), k_y], axis=1),
-        T.concat([k_y, k_z, k_r, T.neg(k_x)], axis=1),
-        T.concat([k_z, T.neg(k_y), k_x, k_r], axis=1),
+        ops.concat([k_r, ops.neg(k_x), ops.neg(k_y), ops.neg(k_z)], axis=1),
+        ops.concat([k_x, k_r, ops.neg(k_z), k_y], axis=1),
+        ops.concat([k_y, k_z, k_r, ops.neg(k_x)], axis=1),
+        ops.concat([k_z, ops.neg(k_y), k_x, k_r], axis=1),
     ]
-    return T.concat(rows, axis=0)
+    return ops.concat(rows, axis=0)
 
 
 def float32_step(layer, x, forward):
@@ -179,11 +180,11 @@ def float32_step(layer, x, forward):
     probe = np.random.default_rng(9).standard_normal(forward(Tensor(x)).shape).astype(np.float32)
     with Tape() as tape:
         out = forward(Tensor(x))
-        loss = T.sum_all(T.mul(out, Tensor(probe)))
+        loss = ops.sum_all(ops.mul(out, Tensor(probe)))
     tape.backward(loss)
     grads = [t.grad.copy() for _, t, _ in layer.params()]
     for _, t, _ in layer.params():
-        t.zero_grad()
+        t.grad = None
     return out.data, grads
 
 

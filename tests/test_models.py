@@ -14,18 +14,19 @@ from qprune.models import (
     prepare_images,
 )
 from qprune.tensor import Tape
+from qprune.verify import conv_kernels
 
 
 def test_lenet300_real_total_count():
     net = build_network(model_spec("lenet300", "mnist", "real"))
-    assert count_parameters(net) == 266_610
-    assert count_parameters(net, include_biases=False) == 266_200
+    assert count_parameters(net.parameters()) == 266_610
+    assert count_parameters(net.prunable_parameters()) == 266_200
 
 
 def test_lenet300_quat_total_count():
     net = build_network(model_spec("lenet300", "mnist", "quat"))
     # 4*(196*75 + 75*25) quaternion-shared weights + 100*10 real head + 410 biases
-    assert count_parameters(net) == 67_710
+    assert count_parameters(net.parameters()) == 67_710
 
 
 def test_conv_model_counts():
@@ -39,15 +40,15 @@ def test_conv_model_counts():
     }
     for (name, field), (total, conv) in expected.items():
         net = build_network(model_spec(name, "cifar10", field))
-        assert count_parameters(net) == total, (name, field)
-        assert count_parameters(net, conv_only=True) == conv, (name, field)
+        assert count_parameters(net.parameters()) == total, (name, field)
+        assert count_parameters(conv_kernels(net)) == conv, (name, field)
 
 
 def test_lenet12_counts():
     real = build_network(model_spec("lenet12", "mnist", "real"))
-    assert count_parameters(real, include_biases=False) == 784 * 12 + 12 * 10
+    assert count_parameters(real.prunable_parameters()) == 784 * 12 + 12 * 10
     quat = build_network(model_spec("lenet12", "mnist", "quat"))
-    assert count_parameters(quat, include_biases=False) == 4 * 196 * 3 + 12 * 10
+    assert count_parameters(quat.prunable_parameters()) == 4 * 196 * 3 + 12 * 10
 
 
 def test_quat_hidden_layers_are_exactly_quarter_width():
@@ -57,8 +58,8 @@ def test_quat_hidden_layers_are_exactly_quarter_width():
     for name in ("lenet300", "lenet12"):
         real = build_network(model_spec(name, "mnist", "real"))
         quat = build_network(model_spec(name, "mnist", "quat"))
-        real_hidden = count_parameters(real, include_biases=False) - 10 * real.layers[-1].in_dim
-        quat_hidden = count_parameters(quat, include_biases=False) - 10 * quat.layers[-1].in_dim
+        real_hidden = count_parameters(real.prunable_parameters()) - 10 * real.layers[-1].in_dim
+        quat_hidden = count_parameters(quat.prunable_parameters()) - 10 * quat.layers[-1].in_dim
         assert quat_hidden * 4 == real_hidden
 
     real = build_network(model_spec("conv4", "cifar10", "real"))
@@ -76,8 +77,8 @@ def test_quat_hidden_layers_are_exactly_quarter_width():
 
 
 def test_quat_conv2_total_is_quarter_of_real():
-    real = count_parameters(build_network(model_spec("conv2", "cifar10", "real")))
-    quat = count_parameters(build_network(model_spec("conv2", "cifar10", "quat")))
+    real = count_parameters(build_network(model_spec("conv2", "cifar10", "real")).parameters())
+    quat = count_parameters(build_network(model_spec("conv2", "cifar10", "quat")).parameters())
     assert abs(quat / real - 0.251) < 0.005
 
 
@@ -172,7 +173,7 @@ def test_cifar_quat_input_gains_grayscale_plane():
 def test_count_parameters_empty_network():
     spec = model_spec("lenet12", "mnist", "real")
     empty = Network(spec, [], np.float32)
-    assert count_parameters(empty) == 0
+    assert count_parameters(empty.parameters()) == 0
 
 
 def test_conv_network_accepts_an_empty_batch():
@@ -193,7 +194,8 @@ def relu_before_pool(layers):
 
 def training_step(net, images, labels):
     """Logits, loss and every parameter gradient of one training step."""
-    net.zero_grad()
+    for p in net.parameters():
+        p.tensor.grad = None
     with Tape() as tape:
         logits = net.forward(net.prepare_input(images))
         loss = T.softmax_cross_entropy(logits, labels)

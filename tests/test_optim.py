@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qprune import tensor as T
+import ops
 from qprune.errors import DimensionError
 from qprune.layers import Param
 from qprune.optim import Adam
@@ -54,7 +54,7 @@ def test_three_step_quadratic_matches_reference():
     opt = Adam([p], lr=0.05)
     for _ in range(3):
         with Tape() as tape:
-            loss = T.scale(T.mul(p.tensor, p.tensor), 0.5)
+            loss = ops.scale(ops.mul(p.tensor, p.tensor), 0.5)
         tape.backward(loss)
         opt.step()
     assert float(p.tensor.data) == pytest.approx(adam_reference(1.7, 0.05, 3), abs=1e-10)

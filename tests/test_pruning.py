@@ -8,7 +8,6 @@ from qprune.models import Network, model_spec
 from qprune.pruning import (
     Mask,
     PruneSchedule,
-    apply_mask,
     capture_snapshot,
     full_mask,
     global_magnitude_prune,
@@ -148,25 +147,6 @@ def test_no_kept_weight_smaller_than_any_pruned_weight():
     assert mags[keep].min() >= mags[~keep].max()
 
 
-def test_apply_mask_full_mask_is_identity():
-    net = make_net(seed=4)
-    before = weight_vector(net)
-    apply_mask(net, full_mask(net))
-    np.testing.assert_array_equal(weight_vector(net), before)
-
-
-def test_apply_mask_zero_mask_leaves_bias_only_output():
-    net = make_net(((6, 3),), seed=5)
-    layer = net.layers[0]
-    layer.b.data[:] = np.array([1.0, -2.0, 0.5])
-    mask = full_mask(net)
-    for name in mask.arrays:
-        mask.arrays[name][:] = 0
-    apply_mask(net, mask)
-    out = layer.forward(Tensor(np.random.default_rng(0).standard_normal((4, 6))))
-    np.testing.assert_allclose(out.data, np.tile(layer.b.data, (4, 1)), atol=1e-12)
-
-
 def test_rewind_full_mask_restores_theta0_exactly():
     net = make_net(seed=6)
     snap = capture_snapshot(net)
@@ -254,7 +234,7 @@ def test_always_failing_threshold_stops_after_two_prune_iterations():
         calls["eval"] += 1
         return 0.5  # always below a 1.1 threshold
 
-    schedule = PruneSchedule(rate=0.2, stop_threshold=1.1, consecutive_failures=2)
+    schedule = PruneSchedule(rate=0.2, stop_threshold=1.1)
     results = iterative_lottery(net, schedule, train_fn, eval_fn)
     assert len(results) == 3  # dense + exactly 2 pruning iterations
     assert calls["train"] == 3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ops
 from qprune import tensor as T
 from qprune.errors import DimensionError, StateError
 from qprune.tensor import Tape, Tensor
@@ -157,7 +158,7 @@ def conv_grads(x: np.ndarray, k: np.ndarray, r: np.ndarray):
     """Gradients of sum(conv2d(x, k) * r) with respect to x and k."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(T.mul(T.conv2d(xt, kt), Tensor(r)))
+        loss = ops.sum_all(ops.mul(T.conv2d(xt, kt), Tensor(r)))
     tape.backward(loss)
     return xt.grad, kt.grad
 
@@ -271,7 +272,7 @@ def test_conv2d_bias_gradients_match_central_differences():
     r = Tensor(rng.standard_normal((2, 5, 4, 2)))
 
     def loss_fn():
-        return T.sum_all(T.mul(T.conv2d(x, k, b=b), r))
+        return ops.sum_all(ops.mul(T.conv2d(x, k, b=b), r))
 
     with Tape() as tape:
         loss = loss_fn()
@@ -329,7 +330,7 @@ def test_conv2d_taped_peak_memory_with_bias_stays_below_eight_inputs():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            loss = T.sum_all(T.conv2d(x, k, b=b))
+            loss = ops.sum_all(T.conv2d(x, k, b=b))
         tape.backward(loss)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -378,7 +379,7 @@ def test_maxpool_backward_first_occurrence_on_ties():
     x = Tensor(np.full((1, 1, 2, 2), 2.0), requires_grad=True)
     with Tape() as tape:
         out = T.maxpool2d(x)
-        loss = T.sum_all(out)
+        loss = ops.sum_all(out)
     tape.backward(loss)
     expected = np.zeros((1, 1, 2, 2))
     expected[0, 0, 0, 0] = 1.0  # row-major first position of the tied max
@@ -411,7 +412,7 @@ def test_maxpool_first_occurrence_on_ties(window, dtype):
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
         out = T.maxpool2d(xt)
-        loss = T.sum_all(T.mul(out, Tensor(g)))
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
     tape.backward(loss)
     np.testing.assert_array_equal(out.data, maxpool_reference(x))
     assert out.data[1, 2, 1, 2] == max(window)
@@ -449,7 +450,7 @@ def test_maxpool_then_relu_equals_relu_then_maxpool(dtype):
         xt = Tensor(x.copy(), requires_grad=True)
         with Tape() as tape:
             out = second(first(xt))
-            loss = T.sum_all(T.mul(out, g))
+            loss = ops.sum_all(ops.mul(out, g))
         tape.backward(loss)
         results.append((out.data, xt.grad))
     (pool_first, grad_pool_first), (relu_first, grad_relu_first) = results
@@ -472,7 +473,7 @@ def test_relu_backward_is_zero_at_zero_of_either_sign():
     g = np.array([5.0, 6.0, 7.0, 8.0, 9.0])
     with Tape() as tape:
         out = T.relu(x)
-        loss = T.sum_all(T.mul(out, Tensor(g)))
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
     tape.backward(loss)
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 1e-300, 0.0, 3.0])
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 7.0, 0.0, 9.0])
@@ -558,7 +559,7 @@ def test_cross_entropy_label_out_of_range():
 def test_backward_of_sum_is_ones():
     w = Tensor(np.random.default_rng(7).standard_normal((3, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(w)
+        loss = ops.sum_all(w)
     tape.backward(loss)
     np.testing.assert_array_equal(w.grad, np.ones((3, 4)))
 
@@ -566,7 +567,7 @@ def test_backward_of_sum_is_ones():
 def test_backward_of_half_sum_of_squares_is_w():
     w = Tensor(np.random.default_rng(8).standard_normal(5), requires_grad=True)
     with Tape() as tape:
-        loss = T.scale(T.sum_all(T.mul(w, w)), 0.5)
+        loss = ops.scale(ops.sum_all(ops.mul(w, w)), 0.5)
     tape.backward(loss)
     np.testing.assert_allclose(w.grad, w.data, atol=1e-12)
 
@@ -607,7 +608,7 @@ def test_backward_two_layer_net_matches_finite_differences():
 def test_backward_twice_raises_state_error():
     w = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(w)
+        loss = ops.sum_all(w)
     tape.backward(loss)
     with pytest.raises(StateError):
         tape.backward(loss)
@@ -635,7 +636,7 @@ def test_no_recording_outside_tape():
 def test_gradient_accumulates_for_shared_parent():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(T.add(w, w))
+        loss = ops.sum_all(ops.add(w, w))
     tape.backward(loss)
     np.testing.assert_array_equal(w.grad, [2.0, 2.0])
 
@@ -644,7 +645,7 @@ def test_add_of_a_tensor_to_itself_doubles_the_gradient():
     w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     r = np.array([0.5, 7.0, -3.0])
     with Tape() as tape:
-        loss = T.sum_all(T.mul(T.add(w, w), Tensor(r)))
+        loss = ops.sum_all(ops.mul(ops.add(w, w), Tensor(r)))
     tape.backward(loss)
     np.testing.assert_array_equal(w.grad, 2 * r)
 
@@ -654,7 +655,7 @@ def test_tensor_consumed_by_two_ops_accumulates_both():
     r1 = np.array([[1.0, 2.0], [3.0, 4.0]])
     r2 = np.array([[10.0, 20.0], [30.0, 40.0]])
     with Tape() as tape:
-        loss = T.add(T.sum_all(T.mul(T.relu(x), Tensor(r1))), T.sum_all(T.mul(x, Tensor(r2))))
+        loss = ops.add(ops.sum_all(ops.mul(T.relu(x), Tensor(r1))), ops.sum_all(ops.mul(x, Tensor(r2))))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, r1 * (x.data > 0) + r2)
 
@@ -672,8 +673,8 @@ def test_gradients_do_not_alias_after_backward():
     with Tape() as tape:
         h = T.maxpool2d(T.relu(T.conv2d(x, k, b=b)))
         z = T.bias_add(T.matmul(T.flatten(h), w), v)
-        shift = T.add(T.reshape(u1, (2, 4)), T.add(u2, u3))
-        logits = T.add(T.add(T.scale(z, 0.5), T.mul(z, T.neg(z))), shift)
+        shift = ops.add(T.reshape(u1, (2, 4)), ops.add(u2, u3))
+        logits = ops.add(ops.add(ops.scale(z, 0.5), ops.mul(z, ops.neg(z))), shift)
         loss = T.softmax_cross_entropy(T.relu(logits), np.array([1, 3]))
     tape.backward(loss)
     tensors = [x, k, b, w, v, u1, u2, u3]
@@ -684,6 +685,24 @@ def test_gradients_do_not_alias_after_backward():
             if j != i:
                 np.testing.assert_array_equal(other.grad, before[j])
         t.grad -= 1.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_accum_grad_keeps_converts_then_adds_in_place(dtype):
+    t = Tensor(np.zeros(3, dtype=dtype))
+    g = np.array([1.0, 2.0, 3.0], dtype=dtype)
+    t._accum_grad(g)
+    assert t.grad is g  # a same-dtype first contribution is kept, not copied
+    t._accum_grad(np.array([0.5, 0.5, 0.5], dtype=dtype))
+    assert t.grad is g  # a later one is added in place
+    np.testing.assert_array_equal(g, [1.5, 2.5, 3.5])
+
+    other = np.float64 if dtype == np.float32 else np.float32
+    u = Tensor(np.zeros(3, dtype=dtype))
+    h = np.array([0.25, -1.0, 4.0], dtype=other)
+    u._accum_grad(h)
+    assert u.grad.dtype == dtype and not np.shares_memory(u.grad, h)
+    np.testing.assert_array_equal(u.grad, h)
 
 
 def check_handed_over_gradients(loss_fn, leaves):
@@ -709,10 +728,10 @@ def test_bias_add_input_also_read_by_another_op(shape, bias_first):
 
     def loss_fn():
         if bias_first:
-            y, z = T.bias_add(x, b), T.mul(x, r2)
+            y, z = T.bias_add(x, b), ops.mul(x, r2)
         else:
-            z, y = T.mul(x, r2), T.bias_add(x, b)
-        return T.add(T.sum_all(T.mul(T.mul(y, y), r1)), T.sum_all(T.mul(z, z)))
+            z, y = ops.mul(x, r2), T.bias_add(x, b)
+        return ops.add(ops.sum_all(ops.mul(ops.mul(y, y), r1)), ops.sum_all(ops.mul(z, z)))
 
     check_handed_over_gradients(loss_fn, [x, b])
 
@@ -728,10 +747,10 @@ def test_conv2d_bias_input_also_read_by_another_op(bias_first):
 
     def loss_fn():
         if bias_first:
-            y, z = T.conv2d(x, k, b=b), T.mul(x, r2)
+            y, z = T.conv2d(x, k, b=b), ops.mul(x, r2)
         else:
-            z, y = T.mul(x, r2), T.conv2d(x, k, b=b)
-        return T.add(T.sum_all(T.mul(T.mul(y, y), r1)), T.sum_all(T.mul(z, z)))
+            z, y = ops.mul(x, r2), T.conv2d(x, k, b=b)
+        return ops.add(ops.sum_all(ops.mul(ops.mul(y, y), r1)), ops.sum_all(ops.mul(z, z)))
 
     check_handed_over_gradients(loss_fn, [x, k, b])
 
@@ -761,8 +780,8 @@ def test_hamilton_block_parts_also_read_elsewhere(out_axis, repeated):
 
     def loss_fn():
         logits = T.matmul(a, T.hamilton_block(block_parts, out_axis))
-        side = T.add(T.sum_all(T.mul(parts[0], r)), T.sum_all(T.mul(parts[1], parts[1])))
-        return T.add(T.softmax_cross_entropy(logits, labels), side)
+        side = ops.add(ops.sum_all(ops.mul(parts[0], r)), ops.sum_all(ops.mul(parts[1], parts[1])))
+        return ops.add(T.softmax_cross_entropy(logits, labels), side)
 
     check_handed_over_gradients(loss_fn, parts)
 

@@ -12,7 +12,7 @@ import qprune.training as training
 from conftest import synthetic_dataset
 from qprune.errors import NumericalError
 from qprune.harness import MMAP_THRESHOLD_BYTES
-from qprune.models import _ALLOWED_DATASETS, FIELDS, MODEL_NAMES, build_network, model_spec
+from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, build_network, model_spec
 from qprune.training import (
     EVAL_BATCH_BYTES,
     EarlyStopMonitor,
@@ -125,7 +125,7 @@ def test_evaluate_accuracy_on_constant_predictions():
 # ---------------------------------------------------------------------------
 # evaluation batches
 
-ALLOWED_TRIPLES = [(m, d, f) for m in MODEL_NAMES for d in _ALLOWED_DATASETS[m] for f in FIELDS]
+ALLOWED_TRIPLES = [(m, d, f) for m in MODEL_NAMES for d in ALLOWED_DATASETS[m] for f in FIELDS]
 
 
 def test_eval_batch_bytes_keeps_conv_buffers_under_the_mmap_threshold():
