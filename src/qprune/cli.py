@@ -5,7 +5,7 @@ Subcommands:
 * ``run``    -- one experiment (multi-trial training + pruning sweep); writes
   training_curve.csv, sparsity_sweep.csv and manifest.json to --out.
 * ``verify`` -- property/oracle self-checks (Hamilton equivalence, layer
-  oracles, gradient checks, parameter counts); prints pass/fail per check.
+  oracles, gradients, sharded gradients, parameter counts); pass/fail each.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure.
 """
@@ -94,6 +94,7 @@ def _cmd_verify(args) -> int:
         hamilton_matrix_max_error,
         parameter_count_report,
         quat_layer_max_error,
+        shard_gradient_max_error,
     )
 
     if args.pairs < 1:
@@ -113,6 +114,9 @@ def _cmd_verify(args) -> int:
 
     for name, err in gradient_check_all().items():
         report(f"gradients/{name}", err < 1e-5, f"rel error {err:.3e}")
+
+    err = shard_gradient_max_error()
+    report("sharded-gradients", err < 1e-12, f"rel error {err:.3e} over 2 and 3 shards vs one batch")
 
     for label, computed, expected in exact_count_report():
         report(f"param-count-exact/{label}", computed == expected, f"{computed} vs {expected}")

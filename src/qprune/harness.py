@@ -20,13 +20,14 @@ from .data import Dataset, load_cifar, load_mnist, split_train_validation
 from .errors import ConfigError, NumericalError
 from .models import ModelSpec, build_network, count_parameters, model_spec
 from .pruning import PruneSchedule, RoundResult, iterative_lottery
-from .training import TrainSettings, evaluate_accuracy, train
+from .training import TrainSettings, blas_threads, evaluate_accuracy, shard_count, train
 
 VALIDATION_SIZE = 5000
 
 # glibc <malloc.h> parameter numbers for mallopt(3)
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
+M_ARENA_MAX = -8
 MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024  # glibc's ceiling for its dynamic threshold on 64-bit
 
 
@@ -123,6 +124,7 @@ class AggregateResult:
     failures: int
     wall_seconds: float
     heap_resident: bool = False  # what keep_heap_resident returned for this run
+    shards: int = 1  # training.shard_count of the run's network
 
 
 def keep_heap_resident() -> bool:
@@ -131,16 +133,17 @@ def keep_heap_resident() -> bool:
     A conv step allocates and frees activations of 15-18 MB each.  By
     default glibc hands the freed top of its heap back to the kernel, and
     the next step faults the same ~200 MB in again, page by page.  This sets
-    two malloc options with mallopt(3): blocks below 32 MiB come from the
+    three malloc options with mallopt(3): blocks below 32 MiB come from the
     heap (larger ones are still mmapped and unmapped on free, which is why
     ``training.EVAL_BATCH_BYTES`` keeps eval batches under half of it), and
     the heap is never trimmed.  Both must be set:
     setting either one turns off glibc's dynamic mmap threshold, and the
-    trim threshold alone leaves it at its 128 KiB start.
+    trim threshold alone leaves it at its 128 KiB start.  One arena keeps
+    the shard threads off arenas that hand freed memory back.
 
     The policy is process-wide and lasts for the life of the process.
     Where the C library has no ``mallopt`` (macOS, Windows) nothing is
-    changed.  Returns whether both calls succeeded.
+    changed.  Returns whether all three calls succeeded.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -150,10 +153,11 @@ def keep_heap_resident() -> bool:
     mallopt.restype = ctypes.c_int
     mmap_ok = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
     trim_ok = mallopt(M_TRIM_THRESHOLD, -1) == 1  # -1: never trim
-    return mmap_ok and trim_ok
+    arena_ok = mallopt(M_ARENA_MAX, 1) == 1
+    return mmap_ok and trim_ok and arena_ok
 
 
-def _environment(heap_resident: bool) -> dict:
+def _environment(result: AggregateResult) -> dict:
     """The software and thread setup that step times and CSV bytes depend on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -165,7 +169,9 @@ def _environment(heap_resident: bool) -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
-        "heap_resident": heap_resident,
+        "heap_resident": result.heap_resident,
+        "shards": result.shards,
+        "blas_threads": blas_threads(),
     }
 
 
@@ -302,6 +308,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         failures=sum(t.failed for t in trials),
         wall_seconds=time.monotonic() - started,
         heap_resident=heap_resident,
+        shards=shard_count(build_network(config.spec(), seed=0)),
     )
 
 
@@ -347,7 +354,7 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
         "trial_errors": [t.error for t in result.trials if t.failed],
         "wall_seconds": result.wall_seconds,
         "version": __version__,
-        "environment": _environment(result.heap_resident),
+        "environment": _environment(result),
     }
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

@@ -17,6 +17,7 @@ from .layers import Conv2d, Flatten, Linear, MaxPool2d, Param, QuatConv2d, QuatL
 from .models import Network, build_network, count_parameters, model_spec
 from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
+from .training import backward_batch, replica
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +191,21 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     scale = max(float(np.abs(numeric).max()), 1e-12)
     results["loss"] = float(np.abs(logits.grad - numeric).max()) / scale
     return results
+
+
+def shard_gradient_max_error(seed: int = 0) -> float:
+    """Relative error of float64 gradients over 2 shards (4 + 4 images) and 3
+    (3 + 3 + 2) against one batch, with the shard count given, not detected."""
+    rng = np.random.default_rng(seed)
+    layers = [QuatConv2d(1, 2, rng, np.float64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, np.float64)]
+    net = Network(model_spec("conv2", "cifar10", "quat"), layers, np.float64)
+    images, labels = rng.standard_normal((8, 3, 4, 4)), rng.integers(0, 3, 8)
+    grads = []
+    for shards in (0, 2, 3):  # each into a fresh copy of the network
+        copy = replica(net)
+        backward_batch(copy, [replica(net) for _ in range(shards)], images, labels)
+        grads.append([p.tensor.grad for p in copy.parameters()])
+    return max(_rel_error(got, want) for sharded in grads[1:] for got, want in zip(sharded, grads[0]))
 
 
 # ---------------------------------------------------------------------------

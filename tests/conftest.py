@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import qprune.training as training
 from qprune.data import Dataset
 
 DATA_ENV = "QPRUNE_DATA"
@@ -74,3 +75,36 @@ def synthetic_dataset(n=120, shape=(1, 28, 28), classes=10, seed=0) -> Dataset:
     images = rng.random((n, *shape), dtype=np.float32)
     labels = (np.arange(n) % classes).astype(np.int64)
     return Dataset(images, labels, classes)
+
+
+def write_cifar10_batch(path, n, seed=0):
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        label = np.uint8(i % 10)
+        pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
+        records.append(bytes([label]) + pixels.tobytes())
+    path.write_bytes(b"".join(records))
+
+
+def make_cifar10_files(directory, per_batch=6):
+    os.makedirs(directory, exist_ok=True)
+    for b in range(1, 6):
+        write_cifar10_batch(directory / f"data_batch_{b}.bin", per_batch, seed=b)
+    write_cifar10_batch(directory / "test_batch.bin", per_batch, seed=9)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, and an OpenBLAS stand-in where none is loaded, so
+    that a conv net shards in two on any machine."""
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if training.blas_threads() is None:
+        count = [4]
+        fake = (lambda: count[0], lambda n: count.__setitem__(0, n))
+        monkeypatch.setattr(training, "_openblas", lambda: fake)
+    get, put = training._openblas()
+    found = get()
+    put(2)  # a count other than the shards' 1, which they must restore
+    yield
+    put(found)

@@ -180,5 +180,6 @@ def test_verify_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS hamilton-vs-matrix" in out
+    assert "PASS sharded-gradients" in out
     assert "FAIL" not in out
     assert "param-count-table" in out

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mnist_files, write_idx_images, write_idx_labels
+from conftest import (
+    make_cifar10_files,
+    make_mnist_files,
+    write_cifar10_batch,
+    write_idx_images,
+    write_idx_labels,
+)
 from qprune.data import (
     Dataset,
     add_grayscale_channel,
@@ -93,23 +99,6 @@ def test_empty_mnist_split_rejected(tmp_path):
 
 # ---------------------------------------------------------------------------
 # CIFAR binaries
-
-
-def write_cifar10_batch(path, n, seed=0):
-    rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        label = np.uint8(i % 10)
-        pixels = rng.integers(0, 256, 3072, dtype=np.uint8)
-        records.append(bytes([label]) + pixels.tobytes())
-    path.write_bytes(b"".join(records))
-
-
-def make_cifar10_files(directory, per_batch=6):
-    os.makedirs(directory, exist_ok=True)
-    for b in range(1, 6):
-        write_cifar10_batch(directory / f"data_batch_{b}.bin", per_batch, seed=b)
-    write_cifar10_batch(directory / "test_batch.bin", per_batch, seed=9)
 
 
 def test_load_cifar10_synthetic(tmp_path):

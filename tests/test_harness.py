@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import qprune.harness as harness
-from conftest import synthetic_dataset
+import qprune.training as training
+from conftest import make_cifar10_files, synthetic_dataset
 from qprune.errors import ConfigError
 from qprune.harness import (
     AggregateResult,
@@ -177,6 +178,42 @@ def test_workers_parallel_trials_match_serial():
     assert serial.sweep_stats == parallel.sweep_stats
 
 
+def tiny_conv_config(data_dir, **overrides) -> ExperimentConfig:
+    # two steps of 10 images, then an 8-image test split
+    base = dict(trials=2, epochs=1, rounds=0, batch_size=10, train_subset=20, base_seed=0, workers=1)
+    base.update(overrides)
+    return ExperimentConfig.from_model_dataset("conv2", "cifar10", "quat", data_dir=str(data_dir), **base)
+
+
+def csv_bytes(directory) -> bytes:
+    return b"".join((directory / name).read_bytes() for name in ("training_curve.csv", "sparsity_sweep.csv"))
+
+
+def test_sharded_runs_give_identical_csv_bytes_for_any_worker_count(tmp_path, two_cores):
+    make_cifar10_files(tmp_path / "data", per_batch=8)
+    blobs = []
+    for name, workers in (("a", 1), ("b", 1), ("c", 2)):
+        agg = run_experiment(tiny_conv_config(tmp_path / "data", workers=workers))
+        assert agg.failures == 0 and agg.shards == 2
+        emit_results(agg, str(tmp_path / name))
+        blobs.append(csv_bytes(tmp_path / name))
+    assert blobs[0] == blobs[1] == blobs[2]
+    env = json.loads((tmp_path / "a" / "manifest.json").read_text())["environment"]
+    assert env["shards"] == 2
+    assert env["blas_threads"] == training.blas_threads()
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("lr, failures", [(1e-3, 0), (1e30, 2)])  # 1e30: NumericalError in every trial
+def test_run_experiment_restores_the_blas_thread_count(tmp_path, two_cores, lr, failures):
+    make_cifar10_files(tmp_path / "data", per_batch=8)
+    before = training.blas_threads()
+    agg = run_experiment(tiny_conv_config(tmp_path / "data", lr=lr, workers=2))  # overlapping trials
+    assert agg.failures == failures
+    assert all("non-finite" in t.error for t in agg.trials if t.failed)
+    assert training.blas_threads() == before
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_failed_trial_reported_with_partial_results(tmp_path):
     # an absurd learning rate overflows float32 within a few steps
@@ -247,6 +284,10 @@ def test_manifest_echoes_thread_variables_and_allocator_result(tmp_path, monkeyp
     assert env["OPENBLAS_NUM_THREADS"] == "1"
     assert env["OMP_NUM_THREADS"] is None
     assert env["heap_resident"] is True
+    assert env["shards"] == 1
+    assert env["blas_threads"] == harness.blas_threads()
+    if harness.blas_threads() is not None:
+        assert env["blas_threads"] >= 1
 
 
 def test_emit_empty_sweep_writes_header_only(tmp_path):
@@ -313,8 +354,9 @@ def fake_cdll(monkeypatch, mallopt):
 def test_heap_policy_sets_mmap_threshold_and_never_trims(monkeypatch):
     mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=1))
     assert keep_heap_resident() is True
-    # M_MMAP_THRESHOLD (-3) at 32 MiB; M_TRIM_THRESHOLD (-1) at -1, "never trim"
-    assert sorted(mallopt.calls) == [(-3, 32 * 1024 * 1024), (-1, -1)]
+    # M_MMAP_THRESHOLD (-3) at 32 MiB; M_TRIM_THRESHOLD (-1) at -1, "never trim";
+    # M_ARENA_MAX (-8) at 1, every thread on the main arena
+    assert sorted(mallopt.calls) == [(-8, 1), (-3, 32 * 1024 * 1024), (-1, -1)]
     assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
     assert mallopt.restype is ctypes.c_int
 
@@ -322,7 +364,18 @@ def test_heap_policy_sets_mmap_threshold_and_never_trims(monkeypatch):
 def test_heap_policy_reports_a_failed_mallopt(monkeypatch):
     mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=0))
     assert keep_heap_resident() is False
-    assert len(mallopt.calls) == 2
+    assert len(mallopt.calls) == 3
+
+
+def test_heap_policy_reports_a_failed_arena_setting(monkeypatch):
+    class ArenaFails(FakeMallopt):
+        def __call__(self, param, value):
+            super().__call__(param, value)
+            return 0 if param == -8 else 1
+
+    mallopt = fake_cdll(monkeypatch, ArenaFails(returns=None))
+    assert keep_heap_resident() is False
+    assert len(mallopt.calls) == 3
 
 
 def test_heap_policy_without_mallopt_does_nothing(monkeypatch):
@@ -334,7 +387,7 @@ def test_run_experiment_applies_heap_policy(monkeypatch):
     mallopt = fake_cdll(monkeypatch, FakeMallopt(returns=1))
     agg = _aggregate_with_data(tiny_config(rounds=0), tiny_datasets())
     assert agg.heap_resident is True
-    assert len(mallopt.calls) == 2
+    assert sorted(mallopt.calls) == [(-8, 1), (-3, 32 * 1024 * 1024), (-1, -1)]
 
 
 _FAULT_PROBE = """

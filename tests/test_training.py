@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,14 +13,19 @@ import qprune.training as training
 from conftest import synthetic_dataset
 from qprune.errors import NumericalError
 from qprune.harness import MMAP_THRESHOLD_BYTES
-from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, build_network, model_spec
+from qprune.layers import Flatten, Linear, MaxPool2d, QuatConv2d, ReLU
+from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, Network, build_network, model_spec
+from qprune.optim import Adam
 from qprune.training import (
     EVAL_BATCH_BYTES,
     EarlyStopMonitor,
     TrainSettings,
+    backward_batch,
     eval_batch_size,
     evaluate_accuracy,
     evaluate_loss,
+    replica,
+    shard_count,
     train,
 )
 
@@ -217,3 +223,143 @@ def test_conv2_eval_takes_no_page_faults_after_warm_up():
     faults = json.loads(probe.stdout)
     assert len(faults) == 3
     assert max(faults) < 100, faults
+
+
+# ---------------------------------------------------------------------------
+# data-parallel shards
+
+
+def small_quat_conv_net(seed=0) -> Network:
+    """A float64 quaternion conv net for 3x4x4 images and 3 classes."""
+    rng = np.random.default_rng(seed)
+    f64 = np.float64
+    layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, f64)]
+    return Network(model_spec("conv2", "cifar10", "quat"), layers, f64)
+
+
+def take_grads(net):
+    grads = [p.tensor.grad for p in net.parameters()]
+    for p in net.parameters():
+        p.tensor.grad = None
+    return grads
+
+
+@pytest.mark.parametrize("n, shards, sizes", [(8, 2, [4, 4]), (8, 3, [3, 3, 2]), (7, 3, [3, 2, 2]), (2, 3, [1, 1])])
+def test_shards_are_contiguous_and_capped_at_the_batch(monkeypatch, n, shards, sizes):
+    seen = []
+
+    def spy(net, replicas, images, labels):  # each shard's own call
+        seen.append(labels.tolist())
+        return 0.0
+
+    monkeypatch.setattr(training, "backward_batch", spy)
+    net = small_quat_conv_net()
+    backward_batch(net, [replica(net) for _ in range(shards)], np.zeros((n, 3, 4, 4)), np.arange(n))
+    seen.sort()  # shards run concurrently, in any order
+    assert [len(s) for s in seen] == sizes
+    assert sum(seen, []) == list(range(n))
+
+
+@pytest.mark.parametrize("shards", [2, 3])  # 4 + 4 and 3 + 3 + 2 images
+def test_sharded_gradients_match_one_batch_in_float64(shards):
+    net = small_quat_conv_net()
+    rng = np.random.default_rng(1)
+    images, labels = rng.random((8, 3, 4, 4)), rng.integers(0, 3, 8)
+    want_loss = backward_batch(net, [], images, labels)
+    want = take_grads(net)
+    replicas = [replica(net) for _ in range(shards)]
+    loss = backward_batch(net, replicas, images, labels)
+    got = take_grads(net)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    assert all(p.tensor.grad is None for r in replicas for p in r.parameters())
+
+
+def test_replicas_share_parameter_arrays_but_not_gradients():
+    net = small_quat_conv_net()
+    copy = replica(net)
+    for p, r in zip(net.parameters(), copy.parameters()):
+        assert p.name == r.name
+        assert r.tensor.data is p.tensor.data and r.tensor is not p.tensor
+    # the layers compute with the tensors the registry lists
+    assert {id(t) for layer in copy.layers for _, t, _ in layer.params()} == {id(r.tensor) for r in copy.parameters()}
+    rng = np.random.default_rng(2)
+    backward_batch(net, [copy], rng.random((4, 3, 4, 4)), rng.integers(0, 3, 4))
+    assert all(r.tensor.grad is None for r in copy.parameters())
+    assert all(p.tensor.grad is not None for p in net.parameters())
+    before = copy.parameters()[0].tensor.data.copy()
+    Adam(net.parameters(), lr=0.1).step()
+    assert not np.array_equal(copy.parameters()[0].tensor.data, before)  # the in-place update reached it
+
+
+@pytest.mark.parametrize("name", ["lenet300", "lenet12"])
+@pytest.mark.parametrize("field", FIELDS)
+def test_lenets_never_shard(monkeypatch, name, field):
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert shard_count(build_network(model_spec(name, "mnist", field))) == 1
+
+
+@pytest.mark.parametrize("name", ["conv2", "conv4", "conv6"])
+def test_conv_nets_shard_once_per_core(two_cores, name):
+    assert shard_count(build_network(model_spec(name, "cifar10", "quat"))) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_in_one_shard_raises_and_restores_blas_threads(two_cores, monkeypatch):
+    spec = model_spec("conv2", "cifar10", "quat")
+    net = build_network(spec, seed=0)
+    data = synthetic_dataset(n=4, shape=spec.input_shape, seed=5)
+    data.images[3] = np.nan  # one batch of 4 images: 2 + 2, one shard poisoned
+    seen = []
+
+    def spy(net, replicas, images, labels):
+        if not replicas:  # a shard's own call, not train's
+            seen.append(training.blas_threads())
+        return backward_batch(net, replicas, images, labels)
+
+    monkeypatch.setattr(training, "backward_batch", spy)
+    before = training.blas_threads()
+    with pytest.raises(NumericalError, match="non-finite loss nan at epoch 0 step 0"):
+        train(net, data, TrainSettings(epochs=1, batch_size=4, lr=1e-3), np.random.default_rng(0))
+    assert seen == [1, 1]  # both shards ran, at one BLAS thread
+    assert training.blas_threads() == before
+
+
+
+def test_overlapping_callers_keep_their_gradients_and_the_blas_count(two_cores):
+    # more callers than cores, switching threads every 10 us
+    nets = [small_quat_conv_net(seed) for seed in range(4)]
+    rng = np.random.default_rng(3)
+    batches = [(rng.random((8, 3, 4, 4)), rng.integers(0, 3, 8)) for _ in nets]
+    want = []
+    for net, batch in zip(nets, batches):
+        backward_batch(net, [], *batch)
+        want.append(take_grads(net))
+    got = [[] for _ in nets]
+
+    def caller(k):
+        replicas = [replica(nets[k]) for _ in range(2)]
+        for _ in range(5):
+            backward_batch(nets[k], replicas, *batches[k])
+            got[k].append(take_grads(nets[k]))
+
+    before = training.blas_threads()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(nets))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert training.blas_threads() == before
+    for runs, serial in zip(got, want):
+        assert len(runs) == 5
+        for grads in runs:
+            for g, w in zip(grads, serial):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
