@@ -111,8 +111,13 @@ def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
             )
         if images.shape[0] == 0:
             raise DataFormatError(f"{img_path}: no images")
-        images = (images.astype(np.float32) / 255.0)[:, None, :, :]
-        out.append(Dataset(images, labels.astype(np.int64), 10))
+        if images.shape[1:] != (28, 28):
+            raise DataFormatError(
+                f"{img_path}: images are {images.shape[1]}x{images.shape[2]} pixels, expected 28x28"
+            )
+        pixels = images.astype(np.float32)
+        pixels /= 255.0
+        out.append(Dataset(pixels[:, None, :, :], labels.astype(np.int64), 10))
     return out[0], out[1]
 
 
@@ -154,7 +159,8 @@ def load_cifar(directory: str, variant: int) -> tuple[Dataset, Dataset]:
             paths.append(path)
         if not sum(len(lb) for lb in label_parts):
             raise DataFormatError(f"{', '.join(paths)}: no images")
-        images = np.concatenate(pixel_parts).astype(np.float32) / 255.0
+        images = np.concatenate(pixel_parts, dtype=np.float32)
+        images /= 255.0
         labels = np.concatenate(label_parts)
         return Dataset(images, labels, variant)
 

@@ -59,7 +59,7 @@ class Linear(Layer):
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.in_dim:
             raise DimensionError(f"linear fan-in {self.in_dim}, got input width {x.shape[1]}")
-        return T.bias_add(T.matmul(x, self.w), self.b)
+        return T.matmul(x, self.w, b=self.b)
 
 
 class Conv2d(Layer):
@@ -107,7 +107,7 @@ class QuatLinear(Layer):
                 f"({4 * self.in_q} components), got input width {x.shape[1]}"
             )
         weight = T.hamilton_block([self.w_r, self.w_x, self.w_y, self.w_z], out_axis=1)  # [4*in_q, 4*out_q]
-        return T.bias_add(T.matmul(x, weight), self.b)
+        return T.matmul(x, weight, b=self.b)
 
 
 class QuatConv2d(Layer):

@@ -229,46 +229,35 @@ def hamilton_block(parts: Sequence[Tensor], out_axis: int) -> Tensor:
     return _maybe_record(out, parts, backward)
 
 
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast a bias vector over the batch: [N,D]+[D].  A conv adds its
-    bias itself (``conv2d(..., b=)``)."""
-    x, b = _as_tensor(x), _as_tensor(b)
-    if b.data.ndim != 1:
-        raise DimensionError(f"bias must be a vector, got shape {b.shape}")
-    if x.data.ndim != 2:
-        raise DimensionError(f"bias_add supports 2-D inputs, got shape {x.shape}")
-    if x.shape[1] != b.shape[0]:
-        raise DimensionError(f"bias length {b.shape[0]} does not match feature size {x.shape[1]}")
-    out = Tensor(x.data + b.data)
-
-    def backward(g):
-        if x._needs_grad():
-            x._accum_grad(g)
-        if b._needs_grad():
-            b._accum_grad(g.sum(axis=0))
-
-    return _maybe_record(out, (x, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # matmul / conv / pooling
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
+def matmul(a: Tensor, w: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
+    """[N, K] @ [K, M] plus optional bias ``b`` of shape (M,), broadcast over
+    the rows and added into the product in place."""
+    a, w = _as_tensor(a), _as_tensor(w)
+    if a.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"matmul expects matrices, got shapes {a.shape} and {w.shape}")
+    if a.shape[1] != w.shape[0]:
+        raise DimensionError(f"matmul: inner extents differ, {a.shape} vs {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"matmul: bias must have shape ({w.shape[1]},), got {b.shape}")
+    parents = (a, w) if b is None else (a, w, b)
+    y = (a.data @ w.data).astype(np.result_type(*(t.data for t in parents)), copy=False)
+    if b is not None:
+        y += b.data
+    out = Tensor(y)
 
     def backward(g):
+        if b is not None and b._needs_grad():
+            b._accum_grad(g.sum(axis=0))
         if a._needs_grad():
-            a._accum_grad(g @ b.data.T)
-        if b._needs_grad():
-            b._accum_grad(a.data.T @ g)
+            a._accum_grad(g @ w.data.T)
+        if w._needs_grad():
+            w._accum_grad(a.data.T @ g)
 
-    return _maybe_record(out, (a, b), backward)
+    return _maybe_record(out, parents, backward)
 
 
 # Columns per block of the conv's GEMMs.  On the 64->64 conv at batch 60

@@ -1,8 +1,9 @@
 import csv
 
+import numpy as np
 import pytest
 
-from conftest import make_mnist_files
+from conftest import make_mnist_files, write_idx_images
 from qprune.cli import main
 
 
@@ -85,6 +86,23 @@ def test_empty_test_split_exits_2(tmp_path, capsys):
     ])
     assert rc == 2
     assert "t10k-images-idx3-ubyte: no images" in capsys.readouterr().err
+
+
+def test_mnist_images_that_are_not_28x28_exit_2_before_training(tmp_path, capsys, monkeypatch):
+    make_mnist_files(tmp_path, n_train=60, n_test=20)
+    for prefix, n in (("train", 60), ("t10k", 20)):
+        write_idx_images(tmp_path / f"{prefix}-images-idx3-ubyte", np.zeros((n, 20, 20), dtype=np.uint8))
+    calls = []
+    monkeypatch.setattr("qprune.harness.run_trial", lambda *args: calls.append(args))
+    rc = main([
+        "run", "--model", "lenet300", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / "out"), "--trials", "1", "--epochs", "1",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "20x20" in err and "Traceback" not in err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_subset_larger_than_training_split_exits_1(tmp_path, capsys):

@@ -38,18 +38,39 @@ def test_load_mnist_synthetic_roundtrip(tmp_path):
     assert train.num_classes == 10
 
 
+EVERY_BYTE = np.arange(256, dtype=np.uint8)
+
+
 def test_idx_pixel_scaling_is_exact(tmp_path):
     images = np.zeros((1, 28, 28), dtype=np.uint8)
-    images[0, 0, 0] = 255
-    images[0, 0, 1] = 51
+    images.reshape(-1)[:256] = EVERY_BYTE
     write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
     write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([3], dtype=np.uint8))
     write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images)
     write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", np.array([7], dtype=np.uint8))
     train, _ = load_mnist(str(tmp_path))
-    assert train.images[0, 0, 0, 0] == np.float32(1.0)
-    assert train.images[0, 0, 0, 1] == np.float32(51 / 255)
+    assert train.images.dtype == np.float32
+    np.testing.assert_array_equal(train.images.reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
     assert train.labels[0] == 3
+
+
+def test_cifar_pixel_scaling_is_exact(tmp_path):
+    pixels = np.zeros(3072, dtype=np.uint8)
+    pixels[:256] = EVERY_BYTE
+    (tmp_path / "data_batch_1.bin").write_bytes(bytes([5]) + pixels.tobytes())
+    for b in range(2, 6):
+        write_cifar10_batch(tmp_path / f"data_batch_{b}.bin", 1)
+    write_cifar10_batch(tmp_path / "test_batch.bin", 1)
+    train, _ = load_cifar(str(tmp_path), 10)
+    assert train.images.dtype == np.float32
+    np.testing.assert_array_equal(train.images[0].reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
+
+
+def test_mnist_images_that_are_not_28x28_rejected(tmp_path):
+    make_mnist_files(tmp_path, n_train=10, n_test=5)
+    write_idx_images(tmp_path / "t10k-images-idx3-ubyte", np.zeros((5, 20, 20), dtype=np.uint8))
+    with pytest.raises(DataFormatError, match="t10k-images-idx3-ubyte: images are 20x20 pixels, expected 28x28"):
+        load_mnist(str(tmp_path))
 
 
 def test_gzip_idx_files_accepted(tmp_path):

@@ -205,7 +205,7 @@ def test_qlinear_hamilton_block_matches_concat_assembly_bitwise():
 
     def reference(inp):
         w = concat_linear_block(layer.w_r, layer.w_x, layer.w_y, layer.w_z)
-        return T.bias_add(T.matmul(inp, w), layer.b)
+        return T.matmul(inp, w, b=layer.b)
 
     assert_same_bits(layer, x, reference)
 
@@ -222,11 +222,18 @@ def test_qconv_hamilton_block_matches_concat_assembly_bitwise():
     assert_same_bits(layer, x, reference)
 
 
-def test_qlinear_forward_records_three_tape_nodes():
+def test_linear_forward_records_one_tape_node():
+    layer = Linear(3, 2, np.random.default_rng(0))
+    with Tape() as tape:
+        layer.forward(Tensor(np.zeros((1, 3), dtype=np.float32)))
+        assert len(tape) == 1  # matmul with the bias fused in
+
+
+def test_qlinear_forward_records_two_tape_nodes():
     layer = QuatLinear(3, 2, np.random.default_rng(0))
     with Tape() as tape:
         layer.forward(Tensor(np.zeros((1, 12), dtype=np.float32)))
-        assert len(tape) == 3  # hamilton_block, matmul, bias_add
+        assert len(tape) == 2  # hamilton_block, matmul with the bias fused in
 
 
 def test_qconv_forward_records_two_tape_nodes():

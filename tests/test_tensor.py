@@ -479,20 +479,38 @@ def test_relu_backward_is_zero_at_zero_of_either_sign():
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 7.0, 0.0, 9.0])
 
 
-def test_bias_add_zero_bias_is_identity():
-    x = np.random.default_rng(5).standard_normal((3, 4))
-    out = T.bias_add(Tensor(x), Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(out.data, x)
+def test_matmul_zero_bias_is_identity():
+    rng = np.random.default_rng(5)
+    a, w = rng.standard_normal((3, 5)), rng.standard_normal((5, 4))
+    out = T.matmul(Tensor(a), Tensor(w), b=Tensor(np.zeros(4)))
+    np.testing.assert_array_equal(out.data, T.matmul(Tensor(a), Tensor(w)).data)
 
 
-def test_bias_add_rejects_a_4d_input():
-    with pytest.raises(DimensionError, match="2-D"):
-        T.bias_add(Tensor(np.zeros((2, 3, 2, 2))), Tensor(np.zeros(3)))
+def test_matmul_rejects_a_matrix_bias():
+    with pytest.raises(DimensionError, match=r"bias must have shape \(3,\)"):
+        T.matmul(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 3))), b=Tensor(np.zeros((1, 3))))
 
 
-def test_bias_add_length_mismatch():
-    with pytest.raises(DimensionError, match="bias length"):
-        T.bias_add(Tensor(np.zeros((2, 4))), Tensor(np.zeros(5)))
+def test_matmul_bias_length_mismatch():
+    with pytest.raises(DimensionError, match=r"bias must have shape \(4,\), got \(5,\)"):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), b=Tensor(np.zeros(5)))
+
+
+def test_matmul_bias_float32_matches_numpy_bitwise():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal((7, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((7, 3)).astype(np.float32)
+    with Tape() as tape:
+        out = T.matmul(a, w, b=b)
+        loss = ops.sum_all(ops.mul(out, Tensor(g)))
+    tape.backward(loss)
+    assert out.dtype == np.float32
+    np.testing.assert_array_equal(out.data, a.data @ w.data + b.data)
+    np.testing.assert_array_equal(a.grad, g @ w.data.T)
+    np.testing.assert_array_equal(w.grad, a.data.T @ g)
+    np.testing.assert_array_equal(b.grad, g.sum(0))
 
 
 def test_flatten_accepts_an_empty_batch():
@@ -581,11 +599,11 @@ def test_backward_two_layer_net_matches_finite_differences():
     labels = np.array([0, 1, 1, 0])
 
     def forward() -> float:
-        h = T.relu(T.bias_add(T.matmul(Tensor(x), w1), b1))
+        h = T.relu(T.matmul(Tensor(x), w1, b=b1))
         return float(T.softmax_cross_entropy(T.matmul(h, w2), labels).data)
 
     with Tape() as tape:
-        h = T.relu(T.bias_add(T.matmul(Tensor(x), w1), b1))
+        h = T.relu(T.matmul(Tensor(x), w1, b=b1))
         loss = T.softmax_cross_entropy(T.matmul(h, w2), labels)
     tape.backward(loss)
 
@@ -672,7 +690,7 @@ def test_gradients_do_not_alias_after_backward():
     u3 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     with Tape() as tape:
         h = T.maxpool2d(T.relu(T.conv2d(x, k, b=b)))
-        z = T.bias_add(T.matmul(T.flatten(h), w), v)
+        z = T.matmul(T.flatten(h), w, b=v)
         shift = ops.add(T.reshape(u1, (2, 4)), ops.add(u2, u3))
         logits = ops.add(ops.add(ops.scale(z, 0.5), ops.mul(z, ops.neg(z))), shift)
         loss = T.softmax_cross_entropy(T.relu(logits), np.array([1, 3]))
@@ -719,21 +737,22 @@ def check_handed_over_gradients(loss_fn, leaves):
 
 
 @pytest.mark.parametrize("bias_first", [True, False])
-@pytest.mark.parametrize("shape", [(3, 4)])
-def test_bias_add_input_also_read_by_another_op(shape, bias_first):
+def test_matmul_bias_input_also_read_by_another_op(bias_first):
     rng = np.random.default_rng(13)
+    shape = (3, 4)
     x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal(shape[1]), requires_grad=True)
     r1, r2 = Tensor(rng.standard_normal(shape)), Tensor(rng.standard_normal(shape))
 
     def loss_fn():
         if bias_first:
-            y, z = T.bias_add(x, b), ops.mul(x, r2)
+            y, z = T.matmul(x, w, b=b), ops.mul(x, r2)
         else:
-            z, y = ops.mul(x, r2), T.bias_add(x, b)
+            z, y = ops.mul(x, r2), T.matmul(x, w, b=b)
         return ops.add(ops.sum_all(ops.mul(ops.mul(y, y), r1)), ops.sum_all(ops.mul(z, z)))
 
-    check_handed_over_gradients(loss_fn, [x, b])
+    check_handed_over_gradients(loss_fn, [x, w, b])
 
 
 @pytest.mark.parametrize("bias_first", [True, False])
@@ -755,15 +774,15 @@ def test_conv2d_bias_input_also_read_by_another_op(bias_first):
     check_handed_over_gradients(loss_fn, [x, k, b])
 
 
-def test_bias_add_reshape_matmul_chain():
+def test_reshape_matmul_bias_chain():
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-    b = Tensor(rng.standard_normal(6), requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
     w = Tensor(rng.standard_normal((12, 4)), requires_grad=True)
     labels = np.array([3, 1])
 
     def loss_fn():
-        return T.softmax_cross_entropy(T.matmul(T.reshape(T.bias_add(x, b), (2, 12)), w), labels)
+        return T.softmax_cross_entropy(T.matmul(T.reshape(x, (2, 12)), w, b=b), labels)
 
     check_handed_over_gradients(loss_fn, [x, b, w])
 
