@@ -5,13 +5,16 @@ order: a vector of n quaternions is a real vector of length 4n whose first
 n entries are the r components; a feature map of c quaternion channels is a
 real map of 4c channels with the same plane layout.
 
-A quaternion layer keeps one real tensor per component (w_r, w_x, w_y, w_z).
-One ``tensor.hamilton_block`` node lays them out in the sign pattern of
-``quaternion.as_matrix``, so a single real matmul/conv performs the
-Hamilton-product arithmetic (weight on the left: o_j = sum_i w_ji (x) x_i
-+ b_j), and its backward sums each component's four signed gradient blocks.
-Activations use ReLU on every component, which on this storage is the
-plain elementwise ReLU.
+A quaternion layer keeps one real tensor per component (w_r, w_x, w_y, w_z)
+and computes the Hamilton-product arithmetic (weight on the left: o_j =
+sum_i w_ji (x) x_i + b_j) in the sign pattern of ``quaternion.as_matrix``.
+A quaternion conv is one ``tensor.hamilton_block`` node, which lays the
+parts out as one real kernel, plus one ``conv2d``.  A quaternion linear
+layer is one ``tensor.quat_linear`` node, which multiplies by the four
+parts without building the block when the batch has fewer rows than the
+layer has input quaternions, and ``hamilton_block`` plus ``matmul``
+otherwise.  Activations use ReLU on every component, which on this
+storage is the plain elementwise ReLU.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ class QuatLinear(Layer):
 
     4 * in_q * out_q weight scalars, one quaternion weight per in/out pair.
     The bias is a plain real vector over the 4*out_q output components.
+    Below in_q rows the four parts multiply the input directly; from in_q
+    rows on one Hamilton block does (``tensor.quat_linear``).
     """
 
     def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
@@ -106,8 +111,7 @@ class QuatLinear(Layer):
                 f"quaternion linear fan-in {self.in_q} quaternions "
                 f"({4 * self.in_q} components), got input width {x.shape[1]}"
             )
-        weight = T.hamilton_block([self.w_r, self.w_x, self.w_y, self.w_z], out_axis=1)  # [4*in_q, 4*out_q]
-        return T.matmul(x, weight, b=self.b)
+        return T.quat_linear(x, [self.w_r, self.w_x, self.w_y, self.w_z], b=self.b)
 
 
 class QuatConv2d(Layer):

@@ -180,6 +180,9 @@ _BLOCK_TABLES = {
     0: (_COMPONENT.tolist(), _SIGN.tolist()),
     1: (_COMPONENT.T.tolist(), _SIGN.T.tolist()),
 }
+# _PRODUCT_SIGNS[o, 4a + c] is the sign (or 0) with which input component a
+# times part c enters output component o, for ``quat_linear``.
+_PRODUCT_SIGNS = _UNIT_MATRICES.transpose(1, 2, 0).reshape(4, 16)
 
 
 def hamilton_block(parts: Sequence[Tensor], out_axis: int) -> Tensor:
@@ -256,6 +259,53 @@ def matmul(a: Tensor, w: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
             a._accum_grad(g @ w.data.T)
         if w._needs_grad():
             w._accum_grad(a.data.T @ g)
+
+    return _maybe_record(out, parents, backward)
+
+
+def quat_linear(x: Tensor, parts: Sequence[Tensor], *, b: Optional[Tensor] = None) -> Tensor:
+    """``matmul(x, hamilton_block(parts, out_axis=1), b=b)`` for an x of shape
+    [N, 4 * in_q] and four (r, x, y, z) parts of shape [in_q, out_q].
+
+    A batch of at least in_q rows runs exactly that.  A smaller one never
+    builds the block (16 * in_q * out_q elements, more than the 16 * N * out_q
+    products used instead): x viewed as [4N, in_q], row (n, a) for input
+    component a, times the parts side by side, [in_q, 4 * out_q], holds in
+    row n every product (a, c) with a part c as a [16, out_q] matrix P_n, and
+    output row n is ``_PRODUCT_SIGNS @ P_n``.  Backward scatters g_n back to
+    dP_n = ``_PRODUCT_SIGNS.T @ g_n`` (exact), then dx = dP @ partsᵀ and
+    d part c = xᵀ @ dP[:, c], a C-contiguous array of its own.  One node.
+    """
+    x, parts = _as_tensor(x), [_as_tensor(p) for p in parts]
+    shapes = [p.shape for p in parts]
+    if len(set(shapes)) != 1 or len(parts) != 4 or len(shapes[0]) != 2 or x.shape[1:] != (4 * shapes[0][0],):
+        raise DimensionError(f"quat_linear needs an [N, 4 * in_q] input and four [in_q, out_q] parts, "
+                             f"got {x.shape} and {shapes}")
+    n, (in_q, out_q) = x.shape[0], shapes[0]
+    if n >= in_q:
+        return matmul(x, hamilton_block(parts, out_axis=1), b=b)
+    if b is not None and b.shape != (4 * out_q,):
+        raise DimensionError(f"quat_linear: bias must have shape ({4 * out_q},), got {b.shape}")
+    parents = (x, *parts) if b is None else (x, *parts, b)
+    dtype = np.result_type(*(t.data for t in parents))
+    signs = _PRODUCT_SIGNS.astype(dtype)
+    xs = x.data.reshape(4 * n, in_q)
+    wcat = np.concatenate([p.data for p in parts], axis=1)
+    prod = (xs @ wcat).astype(dtype, copy=False).reshape(n, 16, out_q)
+    y = (signs @ prod).reshape(n, 4 * out_q)
+    if b is not None:
+        y += b.data
+    out = Tensor(y)
+
+    def backward(g):
+        if b is not None and b._needs_grad():
+            b._accum_grad(g.sum(axis=0))
+        dp = (signs.T @ g.reshape(n, 4, out_q)).reshape(4 * n, 4 * out_q)
+        if x._needs_grad():
+            x._accum_grad((dp @ wcat.T).reshape(n, 4 * in_q))
+        for c, p in enumerate(parts):
+            if p._needs_grad():
+                p._accum_grad(xs.T @ dp[:, c * out_q : (c + 1) * out_q])
 
     return _maybe_record(out, parents, backward)
 

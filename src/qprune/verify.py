@@ -104,10 +104,11 @@ def quat_layer_max_error(seed: int = 0) -> dict[str, float]:
 
     lin = QuatLinear(5, 4, rng, dtype=np.float64)
     lin.b.data = rng.standard_normal(16)
-    x = rng.standard_normal((3, 20))
-    got = lin.forward(Tensor(x)).data
-    want = qlinear_oracle(x, lin.w_r.data, lin.w_x.data, lin.w_y.data, lin.w_z.data, lin.b.data)
-    errors["qlinear"] = _rel_error(got, want)
+    for path, rows in (("direct", 3), ("block", 5)):  # quat_linear's paths: rows < in_q, rows >= in_q
+        x = rng.standard_normal((rows, 20))
+        got = lin.forward(Tensor(x)).data
+        want = qlinear_oracle(x, lin.w_r.data, lin.w_x.data, lin.w_y.data, lin.w_z.data, lin.b.data)
+        errors[f"qlinear/{path}"] = _rel_error(got, want)
 
     conv = QuatConv2d(2, 3, rng, dtype=np.float64)
     conv.b.data = rng.standard_normal(12)
@@ -174,8 +175,9 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     layers = [Conv2d(2, 3, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(12, 4, rng, f64)]
     results["conv"] = _grad_check_net(layers, rng.standard_normal((2, 2, 4, 4)), np.array([2, 0]))
 
-    layers = [QuatLinear(3, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
-    results["qlinear"] = _grad_check_net(layers, rng.standard_normal((3, 12)), np.array([0, 2, 1]))
+    for path, labels in (("direct", np.array([0, 2])), ("block", np.array([0, 2, 1]))):  # 2 and 3 rows, in_q 3
+        layers = [QuatLinear(3, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
+        results[f"qlinear/{path}"] = _grad_check_net(layers, rng.standard_normal((len(labels), 12)), labels)
 
     layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, f64)]
     results["qconv"] = _grad_check_net(layers, rng.standard_normal((2, 4, 4, 4)), np.array([1, 0]))
@@ -195,9 +197,12 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
 
 def shard_gradient_max_error(seed: int = 0) -> float:
     """Relative error of float64 gradients over 2 shards (4 + 4 images) and 3
-    (3 + 3 + 2) against one batch, with the shard count given, not detected."""
+    (3 + 3 + 2) against one batch, with the shard count given, not detected.
+    The shards run ``quat_linear``'s direct path, the whole batch its block."""
     rng = np.random.default_rng(seed)
-    layers = [QuatConv2d(1, 2, rng, np.float64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, np.float64)]
+    f64 = np.float64
+    layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(),
+              QuatLinear(8, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
     net = Network(model_spec("conv2", "cifar10", "quat"), layers, np.float64)
     images, labels = rng.standard_normal((8, 3, 4, 4)), rng.integers(0, 3, 8)
     grads = []

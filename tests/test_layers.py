@@ -201,7 +201,8 @@ def assert_same_bits(layer, x, reference_forward):
 def test_qlinear_hamilton_block_matches_concat_assembly_bitwise():
     layer = QuatLinear(7, 5, np.random.default_rng(10))
     layer.b.data[:] = np.random.default_rng(11).standard_normal(20)
-    x = np.random.default_rng(12).standard_normal((6, 28)).astype(np.float32)
+    # 7 rows, as many as input quaternions: quat_linear builds the block
+    x = np.random.default_rng(12).standard_normal((7, 28)).astype(np.float32)
 
     def reference(inp):
         w = concat_linear_block(layer.w_r, layer.w_x, layer.w_y, layer.w_z)
@@ -229,11 +230,13 @@ def test_linear_forward_records_one_tape_node():
         assert len(tape) == 1  # matmul with the bias fused in
 
 
-def test_qlinear_forward_records_two_tape_nodes():
+def test_qlinear_forward_records_one_node_below_fan_in_and_two_from_it():
     layer = QuatLinear(3, 2, np.random.default_rng(0))
-    with Tape() as tape:
-        layer.forward(Tensor(np.zeros((1, 12), dtype=np.float32)))
-        assert len(tape) == 2  # hamilton_block, matmul with the bias fused in
+    # quat_linear alone below 3 rows; hamilton_block and matmul from 3 rows on
+    for rows, nodes in [(1, 1), (2, 1), (3, 2), (4, 2)]:
+        with Tape() as tape:
+            layer.forward(Tensor(np.zeros((rows, 12), dtype=np.float32)))
+            assert len(tape) == nodes
 
 
 def test_qconv_forward_records_two_tape_nodes():

@@ -688,21 +688,24 @@ def test_gradients_do_not_alias_after_backward():
     u1 = Tensor(rng.standard_normal(8), requires_grad=True)
     u2 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
     u3 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    q = [Tensor(rng.standard_normal((3, 1)), requires_grad=True) for _ in range(4)]
+    qb = Tensor(rng.standard_normal(4), requires_grad=True)
     with Tape() as tape:
         h = T.maxpool2d(T.relu(T.conv2d(x, k, b=b)))
         z = T.matmul(T.flatten(h), w, b=v)
         shift = ops.add(T.reshape(u1, (2, 4)), ops.add(u2, u3))
-        logits = ops.add(ops.add(ops.scale(z, 0.5), ops.mul(z, ops.neg(z))), shift)
+        quat = T.quat_linear(T.flatten(h), q, b=qb)  # 2 rows, 3 input quaternions: the direct path
+        logits = ops.add(ops.add(ops.add(ops.scale(z, 0.5), ops.mul(z, ops.neg(z))), shift), quat)
         loss = T.softmax_cross_entropy(T.relu(logits), np.array([1, 3]))
     tape.backward(loss)
-    tensors = [x, k, b, w, v, u1, u2, u3]
+    tensors = [x, k, b, w, v, u1, u2, u3, *q, qb]
     before = [t.grad.copy() for t in tensors]
     for i, t in enumerate(tensors):
         t.grad += 1.0
         for j, other in enumerate(tensors):
             if j != i:
                 np.testing.assert_array_equal(other.grad, before[j])
-        t.grad -= 1.0
+        t.grad[...] = before[i]  # exact, where -= 1.0 would round a nonzero gradient
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -803,6 +806,85 @@ def test_hamilton_block_parts_also_read_elsewhere(out_axis, repeated):
         return ops.add(T.softmax_cross_entropy(logits, labels), side)
 
     check_handed_over_gradients(loss_fn, parts)
+
+
+@pytest.mark.parametrize("rows", [2, 4])  # quat_linear's direct path below 3 input quaternions, its block from 3
+@pytest.mark.parametrize("repeated", [False, True])
+def test_quat_linear_parts_also_read_elsewhere(rows, repeated):
+    rng = np.random.default_rng(16)
+    parts = [Tensor(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(4)]
+    linear_parts = [parts[0], parts[0], parts[2], parts[3]] if repeated else parts
+    x = Tensor(rng.standard_normal((rows, 12)), requires_grad=True)
+    b = Tensor(rng.standard_normal(8), requires_grad=True)
+    r = Tensor(rng.standard_normal((3, 2)))
+    labels = np.array([0, 7, 4, 2])[:rows]
+
+    def loss_fn():
+        logits = T.quat_linear(x, linear_parts, b=b)
+        side = ops.add(ops.sum_all(ops.mul(parts[0], r)), ops.sum_all(ops.mul(parts[1], parts[1])))
+        return ops.add(T.softmax_cross_entropy(logits, labels), side)
+
+    check_handed_over_gradients(loss_fn, [x, *parts, b])
+
+
+# ---------------------------------------------------------------------------
+# quat_linear against matmul with hamilton_block
+
+
+def quat_linear_case(rows: int, dtype, in_q: int = 5, out_q: int = 3):
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((rows, 4 * in_q)).astype(dtype), requires_grad=True)
+    parts = [Tensor(rng.standard_normal((in_q, out_q)).astype(dtype), requires_grad=True) for _ in range(4)]
+    b = Tensor(rng.standard_normal(4 * out_q).astype(dtype), requires_grad=True)
+    return x, parts, b, Tensor(rng.standard_normal((rows, 4 * out_q)).astype(dtype))
+
+
+def output_and_gradients(forward, leaves, probe):
+    """Output of ``forward()`` and the leaves' gradients of sum(output * probe)."""
+    for t in leaves:
+        t.grad = None
+    with Tape() as tape:
+        out = forward()
+        loss = ops.sum_all(ops.mul(out, probe))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def quat_linear_both_ways(rows: int, dtype):
+    x, parts, b, probe = quat_linear_case(rows, dtype)
+    leaves = [x, *parts, b]
+    got = output_and_gradients(lambda: T.quat_linear(x, parts, b=b), leaves, probe)
+    assert all(g.flags.c_contiguous for g in got[1:])
+    want = output_and_gradients(lambda: T.matmul(x, T.hamilton_block(parts, out_axis=1), b=b), leaves, probe)
+    return got, want
+
+
+@pytest.mark.parametrize("rows", [1, 4, 5, 6])  # 1, in_q - 1, in_q, in_q + 1
+def test_quat_linear_matches_the_block_product_in_float64(rows):
+    for got, want in zip(*quat_linear_both_ways(rows, np.float64)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rows", [5, 6])  # in_q and in_q + 1: the block path
+def test_quat_linear_block_path_is_the_block_product_bitwise(rows):
+    for got, want in zip(*quat_linear_both_ways(rows, np.float32)):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+def test_quat_linear_rejects_mismatched_shapes():
+    parts = [Tensor(np.zeros((3, 2))) for _ in range(4)]
+    x = Tensor(np.zeros((2, 12)))
+    with pytest.raises(DimensionError, match="quat_linear"):
+        T.quat_linear(x, parts[:3])
+    with pytest.raises(DimensionError, match="quat_linear"):
+        T.quat_linear(x, parts[:3] + [Tensor(np.zeros((2, 3)))])
+    with pytest.raises(DimensionError, match="quat_linear"):
+        T.quat_linear(Tensor(np.zeros((2, 8))), parts)
+    for rows in (2, 3):  # both paths
+        with pytest.raises(DimensionError, match="bias"):
+            T.quat_linear(Tensor(np.zeros((rows, 12))), parts, b=Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import qprune.training as training
 from conftest import synthetic_dataset
 from qprune.errors import NumericalError
 from qprune.harness import MMAP_THRESHOLD_BYTES
-from qprune.layers import Flatten, Linear, MaxPool2d, QuatConv2d, ReLU
+from qprune.layers import Flatten, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, Network, build_network, model_spec
 from qprune.optim import Adam
 from qprune.training import (
@@ -260,9 +260,17 @@ def test_shards_are_contiguous_and_capped_at_the_batch(monkeypatch, n, shards, s
     assert sum(seen, []) == list(range(n))
 
 
-@pytest.mark.parametrize("shards", [2, 3])  # 4 + 4 and 3 + 3 + 2 images
-def test_sharded_gradients_match_one_batch_in_float64(shards):
-    net = small_quat_conv_net()
+def small_quat_net_with_linear(seed=0) -> Network:
+    """``small_quat_conv_net`` with a QuatLinear(8, 2) head: a shard of fewer
+    than 8 images takes ``quat_linear``'s direct path, the batch of 8 its block."""
+    rng = np.random.default_rng(seed)
+    f64 = np.float64
+    layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(),
+              QuatLinear(8, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
+    return Network(model_spec("conv2", "cifar10", "quat"), layers, f64)
+
+
+def check_sharded_gradients(net, shards):
     rng = np.random.default_rng(1)
     images, labels = rng.random((8, 3, 4, 4)), rng.integers(0, 3, 8)
     want_loss = backward_batch(net, [], images, labels)
@@ -275,6 +283,16 @@ def test_sharded_gradients_match_one_batch_in_float64(shards):
         assert g.dtype == np.float64
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
     assert all(p.tensor.grad is None for r in replicas for p in r.parameters())
+
+
+@pytest.mark.parametrize("shards", [2, 3])  # 4 + 4 and 3 + 3 + 2 images
+def test_sharded_gradients_match_one_batch_in_float64(shards):
+    check_sharded_gradients(small_quat_conv_net(), shards)
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sharded_quat_linear_gradients_match_one_batch_in_float64(shards):
+    check_sharded_gradients(small_quat_net_with_linear(), shards)
 
 
 def test_replicas_share_parameter_arrays_but_not_gradients():
