@@ -95,6 +95,7 @@ def _cmd_verify(args) -> int:
         parameter_count_report,
         quat_layer_max_error,
         shard_gradient_max_error,
+        shard_logits_max_error,
     )
 
     if args.pairs < 1:
@@ -117,6 +118,9 @@ def _cmd_verify(args) -> int:
 
     err = shard_gradient_max_error()
     report("sharded-gradients", err < 1e-12, f"rel error {err:.3e} over 2 and 3 shards vs one batch")
+
+    err = shard_logits_max_error()
+    report("sharded-eval", err < 1e-12, f"rel error {err:.3e} of logits over 2 and 3 shards vs one batch")
 
     for label, computed, expected in exact_count_report():
         report(f"param-count-exact/{label}", computed == expected, f"{computed} vs {expected}")

@@ -9,11 +9,18 @@ float32 for training runs, float64 for gradient and property tests.
 With no active tape, the same operations run in inference mode and record
 nothing.  A tape and its tensors belong to a single training context; the
 active tape is tracked per-context (contextvars), so independent trials in
-separate threads never share state.
+separate threads never share state.  So is the inference workspace: in a
+context inside ``_inference_workspace(slot)``, with no tape active, the
+ops take the arrays they use only internally (``conv2d``'s padded input,
+output buffer and patch block, ``relu``'s mask, ``maxpool2d``'s partial
+maximum) from that slot's persistent buffers, so two contexts must never
+use one slot at the same time.  Everywhere else every array is fresh, and
+an op's output always is.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -23,6 +30,9 @@ from .errors import DimensionError, StateError
 from .quaternion import Quaternion, as_matrix
 
 _ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("qprune_active_tape", default=None)
+# The buffers of the workspace slot in use, by index, as raw bytes.
+_WORKSPACE: ContextVar[Optional[dict[int, np.ndarray]]] = ContextVar("qprune_workspace", default=None)
+_SLOTS: dict[int, dict[int, np.ndarray]] = {}
 
 
 class Tensor:
@@ -121,6 +131,31 @@ def active_tape() -> Optional[Tape]:
     return _ACTIVE_TAPE.get()
 
 
+@contextmanager
+def _inference_workspace(slot: int):
+    """Lend the inference ops of this context the scratch buffers of
+    workspace ``slot``, kept for the life of the process."""
+    token = _WORKSPACE.set(_SLOTS.setdefault(slot, {}))
+    try:
+        yield
+    finally:
+        _WORKSPACE.reset(token)
+
+
+def _scratch(index: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array that an op uses only until it returns: in
+    inference mode inside ``_inference_workspace``, a view of the slot's
+    buffer ``index`` (grown on demand; ops share the buffers, one op takes
+    each index once); otherwise fresh, so that a tape may keep it."""
+    workspace = _WORKSPACE.get()
+    if workspace is None or _ACTIVE_TAPE.get() is not None:
+        return np.empty(shape, dtype)
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if index not in workspace or workspace[index].size < nbytes:
+        workspace[index] = np.empty(nbytes, np.uint8)
+    return workspace[index][:nbytes].view(dtype).reshape(shape)
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -142,7 +177,7 @@ def relu(a: Tensor) -> Tensor:
     A negative x gives -0.0, which compares and sums like 0.0; -inf and NaN
     give NaN, so a diverged activation is not hidden.
     """
-    mask = a.data > 0
+    mask = np.greater(a.data, 0, out=_scratch(0, a.shape, bool))
     out = Tensor(a.data * mask)
 
     def backward(g):
@@ -310,15 +345,21 @@ def quat_linear(x: Tensor, parts: Sequence[Tensor], *, b: Optional[Tensor] = Non
     return _maybe_record(out, parents, backward)
 
 
-# Columns per block of the conv's GEMMs.  On the 64->64 conv at batch 60
-# (2 vCPU, OpenBLAS), widths of 1024, 8192 and 16384 measured slower.
+# Columns per block of the conv's GEMMs, under a tape and in inference.  On
+# the 64->64 conv at one OpenBLAS thread, the count each shard runs at (2
+# vCPU): the backward pass of 30 images took 79 ms at 4096 columns and 90 ms
+# at 1024, while conv2-quat evaluated 716 images/s at 1024 and 690 at 4096,
+# and the smaller patch block keeps the inference workspace small.
 CONV_BLOCK = 4096
+INFERENCE_CONV_BLOCK = 1024
 
 
 def _block_width(p: int) -> int:
-    """Columns per block for a [C, p] padded input: CONV_BLOCK, capped at
-    ceil(p / 9) so that a [9C, width] patch block is no larger than it."""
-    return max(1, min(CONV_BLOCK, -(-p // 9)))
+    """Columns per block for a [C, p] padded input: CONV_BLOCK under a tape,
+    else INFERENCE_CONV_BLOCK, capped at ceil(p / 9) so that a [9C, width]
+    patch block is no larger than the input."""
+    block = CONV_BLOCK if _ACTIVE_TAPE.get() is not None else INFERENCE_CONV_BLOCK
+    return max(1, min(block, -(-p // 9)))
 
 
 def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
@@ -334,7 +375,10 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
     length L = P - 2*(W+2) - 2.  Columns whose y >= H or x >= W are computed
     and dropped.  The length is walked in blocks of ``_block_width(P)``
     columns: the nine windows of a block are copied into one reused
-    [9C, width] patch matrix, and each pass is one GEMM per block.
+    [9C, width] patch matrix, and each pass is one GEMM per block.  The
+    [F, P] result, the padded input and the patch matrix are ``_scratch``
+    buffers 0, 1 and 2; buffer 0, the largest, also takes ``relu``'s mask
+    and ``maxpool2d``'s partial maximum.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if x.data.ndim != 4:
@@ -349,7 +393,9 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(f"conv2d: bias must have shape ({f},), got {b.shape}")
     parents = (x, k) if b is None else (x, k, b)
     dtype = np.result_type(*(t.data for t in parents))
-    xp = np.zeros((c, n, h + 2, w + 2), dtype=dtype)
+    xp = _scratch(1, (c, n, h + 2, w + 2), dtype)
+    xp[:, :, [0, -1]] = 0
+    xp[:, :, :, [0, -1]] = 0
     xp[:, :, 1:-1, 1:-1] = x.data.transpose(1, 0, 2, 3)
     xp = xp.reshape(c, -1)
     p = xp.shape[1]
@@ -358,7 +404,7 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
     width = _block_width(p)
     blocks = [(lo, min(lo + width, span)) for lo in range(0, span, width)]
     kmat = k.data.astype(dtype, copy=False).transpose(0, 2, 3, 1).reshape(f, 9 * c)  # [o, t*C + ci]
-    cols = np.empty((9 * c, width), dtype=dtype)
+    cols = _scratch(2, (9 * c, width), dtype)
 
     def patches(lo: int, hi: int) -> np.ndarray:
         """The [9C, hi - lo] patch matrix of columns lo:hi, in ``cols``."""
@@ -366,7 +412,7 @@ def conv2d(x: Tensor, k: Tensor, *, b: Optional[Tensor] = None) -> Tensor:
             cols[t * c : (t + 1) * c, : hi - lo] = xp[:, lo + off : hi + off]
         return cols[:, : hi - lo]
 
-    yp = np.empty((f, p), dtype=dtype)  # columns from span on are never read
+    yp = _scratch(0, (f, p), dtype)  # columns from span on are never read
     for lo, hi in blocks:
         np.matmul(kmat, patches(lo, hi), out=yp[:, lo:hi])
     out = np.empty((n, f, h, w), dtype=dtype)
@@ -415,7 +461,8 @@ def maxpool2d(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise DimensionError(f"maxpool2d needs even spatial extents, got {h}x{w}")
     v0, v1, v2, v3 = (x.data[:, :, i::2, j::2] for i, j in _WINDOW)
-    best = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    best = np.maximum(v0, v1)
+    np.maximum(best, np.maximum(v2, v3, out=_scratch(0, best.shape, best.dtype)), out=best)
     out = Tensor(best)
 
     def backward(g):

@@ -19,11 +19,14 @@ from .errors import NumericalError
 from .models import Network
 from .optim import Adam
 from .pruning import Mask
-from .tensor import Tape, Tensor, softmax_cross_entropy
+from .tensor import Tape, Tensor, _inference_workspace, softmax_cross_entropy
 
 EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
-# Half of harness.MMAP_THRESHOLD_BYTES: conv2d's [F, N·(H+2)·(W+2)] output
-# buffer, 1.13x the widest activation at 32x32, then stays on the resident heap.
+# Half of harness.MMAP_THRESHOLD_BYTES, so that the arrays of a whole-batch
+# evaluation stay on the resident heap: the largest, conv2d's
+# [F, N·(H+2)·(W+2)] buffer, is 1.13x the widest activation at 32x32.  A
+# sharded evaluation splits each batch over the cores, and each shard keeps
+# that buffer in its inference workspace slot.
 EVAL_BATCH_BYTES = 16 * 1024 * 1024
 # Per-image bytes of the widest activation from which training batches are split
 # over the cores: a conv net at 32x32 has 256 KiB, a LeNet at most 3.1 KiB.
@@ -71,6 +74,30 @@ def replica(net: Network) -> Network:
     return copy.deepcopy(net, {id(p.tensor.data): p.tensor.data for p in net.parameters()})
 
 
+def _spans(n: int, parts: int) -> list[slice]:
+    """``parts`` contiguous runs covering range(n) (fewer if n < parts),
+    whose lengths differ by at most one, the longer first."""
+    q, r = divmod(n, parts)
+    edges = [k * q + min(k, r) for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def _on_shards(fn, calls: list[tuple]) -> list:
+    """``fn(*args)`` for each ``args`` in ``calls``, run at once in the shard
+    pool at one OpenBLAS thread; returns the results in order once all have
+    returned, or raises the first call's exception."""
+    with _SHARD_LOCK:
+        get, put = _openblas()
+        saved = get()
+        put(1)  # process-wide: keeps each shard's GEMMs on its core
+        try:
+            futures = [_SHARD_POOL.submit(fn, *args) for args in calls]
+            wait(futures)
+        finally:
+            put(saved)
+    return [f.result() for f in futures]
+
+
 def backward_batch(net: Network, replicas: list[Network], images: np.ndarray, labels: np.ndarray) -> float:
     """Gradients of a batch's mean loss into ``net``'s ``.grad``; returns the
     loss.  A non-finite loss is returned without a backward pass.
@@ -86,19 +113,10 @@ def backward_batch(net: Network, replicas: list[Network], images: np.ndarray, la
         if np.isfinite(loss.data):
             tape.backward(loss)
         return float(loss.data)
-    shards = [s for s in np.array_split(np.arange(len(labels)), len(replicas)) if s.size]
-    with _SHARD_LOCK:
-        get, put = _openblas()
-        saved = get()
-        put(1)  # process-wide: keeps each shard's GEMMs on its core
-        try:
-            futures = [_SHARD_POOL.submit(backward_batch, r, [], images[s], labels[s])
-                       for r, s in zip(replicas, shards)]
-            wait(futures)
-        finally:
-            put(saved)
-    shares = [s.size / len(labels) for s in shards]
-    loss = sum(share * f.result() for share, f in zip(shares, futures))
+    shards = _spans(len(labels), len(replicas))
+    losses = _on_shards(backward_batch, [(r, [], images[s], labels[s]) for r, s in zip(replicas, shards)])
+    shares = [(s.stop - s.start) / len(labels) for s in shards]
+    loss = sum(share * shard_loss for share, shard_loss in zip(shares, losses))
     for p, *parts in zip(net.parameters(), *(r.parameters() for r in replicas)):
         for part, share in zip(parts, shares):
             if (g := part.tensor.grad) is not None:
@@ -155,12 +173,30 @@ def eval_batch_size(net: Network) -> int:
     return max(1, EVAL_BATCH_BYTES // per_image)
 
 
+def _shard_logits(net: Network, images: np.ndarray, slot: int) -> np.ndarray:
+    """Inference-mode logits of one shard, computed in workspace ``slot``."""
+    with _inference_workspace(slot):
+        return net.forward(net.prepare_input(images)).data
+
+
+def inference_logits(net: Network, images: np.ndarray, shards: int) -> np.ndarray:
+    """Inference-mode logits of an image batch.  With several shards, as
+    many contiguous shards (fewer for a smaller batch) run on ``net`` in the
+    shard pool at one OpenBLAS thread, each in the inference workspace slot
+    of its position, and their logits are joined in shard order."""
+    if shards == 1:
+        return net.forward(net.prepare_input(images)).data
+    calls = [(net, images[s], slot) for slot, s in enumerate(_spans(len(images), shards))]
+    return np.concatenate(_on_shards(_shard_logits, calls))
+
+
 def _batch_logits(net: Network, data: Dataset) -> Iterator[tuple[Tensor, np.ndarray]]:
-    """Inference-mode logits and labels of ``data``, one batch at a time."""
-    size = eval_batch_size(net)
-    for lo in range(0, len(data), size):
-        images, labels = data.images[lo : lo + size], data.labels[lo : lo + size]
-        yield net.forward(net.prepare_input(images)), labels
+    """Inference-mode logits and labels of ``data``, one batch at a time, in
+    ceil(n / ``eval_batch_size``) batches that differ in length by at most
+    one image, each split over ``shard_count(net)`` shards."""
+    shards = shard_count(net)
+    for batch in _spans(len(data), -(-len(data) // eval_batch_size(net))):
+        yield Tensor(inference_logits(net, data.images[batch], shards)), data.labels[batch]
 
 
 def evaluate_accuracy(net: Network, data: Dataset) -> float:

@@ -17,7 +17,7 @@ from .layers import Conv2d, Flatten, Linear, MaxPool2d, Param, QuatConv2d, QuatL
 from .models import Network, build_network, count_parameters, model_spec
 from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
-from .training import backward_batch, replica
+from .training import backward_batch, inference_logits, replica
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +195,21 @@ def gradient_check_all(seed: int = 0, h: float = 1e-4) -> dict[str, float]:
     return results
 
 
-def shard_gradient_max_error(seed: int = 0) -> float:
-    """Relative error of float64 gradients over 2 shards (4 + 4 images) and 3
-    (3 + 3 + 2) against one batch, with the shard count given, not detected.
-    The shards run ``quat_linear``'s direct path, the whole batch its block."""
-    rng = np.random.default_rng(seed)
+def _shard_check_net(rng: np.random.Generator) -> Network:
+    """A float64 quaternion conv net for 3x4x4 images whose QuatLinear(8, 2)
+    head runs ``quat_linear``'s direct path on shards of fewer than 8 images
+    and its block on a batch of 8."""
     f64 = np.float64
     layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(),
               QuatLinear(8, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
-    net = Network(model_spec("conv2", "cifar10", "quat"), layers, np.float64)
+    return Network(model_spec("conv2", "cifar10", "quat"), layers, f64)
+
+
+def shard_gradient_max_error(seed: int = 0) -> float:
+    """Relative error of float64 gradients over 2 shards (4 + 4 images) and 3
+    (3 + 3 + 2) against one batch, with the shard count given, not detected."""
+    rng = np.random.default_rng(seed)
+    net = _shard_check_net(rng)
     images, labels = rng.standard_normal((8, 3, 4, 4)), rng.integers(0, 3, 8)
     grads = []
     for shards in (0, 2, 3):  # each into a fresh copy of the network
@@ -211,6 +217,16 @@ def shard_gradient_max_error(seed: int = 0) -> float:
         backward_batch(copy, [replica(net) for _ in range(shards)], images, labels)
         grads.append([p.tensor.grad for p in copy.parameters()])
     return max(_rel_error(got, want) for sharded in grads[1:] for got, want in zip(sharded, grads[0]))
+
+
+def shard_logits_max_error(seed: int = 0) -> float:
+    """Relative error of float64 inference logits over 2 shards (4 + 4
+    images) and 3 (3 + 3 + 2) against one batch."""
+    rng = np.random.default_rng(seed)
+    net = _shard_check_net(rng)
+    images = rng.standard_normal((8, 3, 4, 4))
+    want = inference_logits(net, images, 1)
+    return max(_rel_error(inference_logits(net, images, shards), want) for shards in (2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,7 @@ def test_verify_subcommand_passes(capsys):
     assert rc == 0
     assert "PASS hamilton-vs-matrix" in out
     assert "PASS sharded-gradients" in out
+    assert "PASS sharded-eval" in out
     for check in ("layer-oracle", "gradients"):  # one line per quat_linear path
         assert f"PASS {check}/qlinear/direct" in out and f"PASS {check}/qlinear/block" in out
     assert "FAIL" not in out

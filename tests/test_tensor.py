@@ -234,23 +234,53 @@ def test_conv2d_block_boundaries(shape, blocks, monkeypatch):
     elif blocks == "partial":
         assert span > 4 and span % 4
         monkeypatch.setattr(T, "CONV_BLOCK", 4)
+        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 4)
     else:
         monkeypatch.setattr(T, "CONV_BLOCK", 1)
+        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 1)
     n, _, _, h, w = shape
     assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
+    with Tape():
+        assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
     check_conv_forward(shape)
     check_conv_backward(shape)
     check_conv_float32(shape)
 
 
 def test_conv2d_block_width_rule():
-    # 4096 columns, capped at ceil(P / 9) so a [9C, width] block is no
-    # larger than the [C, P] padded input.
-    assert T._block_width(60 * 34 * 34) == 4096
-    assert T._block_width(8 * 34 * 34) == 1028
+    # 4096 columns under a tape and 1024 in inference, capped at ceil(P / 9)
+    # so a [9C, width] block is no larger than the [C, P] padded input.
+    assert T.INFERENCE_CONV_BLOCK == 1024
+    assert T._block_width(60 * 34 * 34) == 1024
+    assert T._block_width(2 * 34 * 34) == 257
     assert T._block_width(10) == 2
     assert T._block_width(1) == 1
     assert T._block_width(0) == 1
+    with Tape():
+        assert T.CONV_BLOCK == 4096
+        assert T._block_width(60 * 34 * 34) == 4096
+        assert T._block_width(8 * 34 * 34) == 1028
+        assert T._block_width(10) == 2
+        assert T._block_width(0) == 1
+
+
+def test_inference_outputs_in_a_workspace_slot_are_fresh():
+    # two calls in one slot: the second reuses the slot's buffers, and must
+    # leave the first call's outputs as they were
+    rng = np.random.default_rng(30)
+    k, b = Tensor(rng.standard_normal((5, 3, 3, 3))), Tensor(rng.standard_normal(5))
+    x1, x2 = (Tensor(rng.standard_normal((2, 3, 4, 6))) for _ in range(2))
+    with T._inference_workspace(0):
+        outs = [T.conv2d(x1, k, b=b)]
+        outs += [T.relu(outs[0]), T.maxpool2d(outs[0])]
+        kept = [o.data.copy() for o in outs]
+        T.conv2d(x2, k, b=b)
+        T.maxpool2d(T.relu(T.conv2d(x2, k)))
+    assert set(T._SLOTS[0]) == {0, 1, 2}
+    for out, before in zip(outs, kept):
+        np.testing.assert_array_equal(out.data, before)
+        assert not any(np.shares_memory(out.data, buf) for buf in T._SLOTS[0].values())
+    np.testing.assert_allclose(kept[0], conv2d_reference(x1.data, k.data) + b.data[:, None, None], rtol=1e-12)
 
 
 def test_conv2d_bias_matches_reference_plus_bias():

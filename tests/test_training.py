@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qprune.tensor as T
 import qprune.training as training
 from conftest import synthetic_dataset
 from qprune.errors import NumericalError
@@ -16,6 +17,7 @@ from qprune.harness import MMAP_THRESHOLD_BYTES
 from qprune.layers import Flatten, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, Network, build_network, model_spec
 from qprune.optim import Adam
+from qprune.tensor import Tape, softmax_cross_entropy
 from qprune.training import (
     EVAL_BATCH_BYTES,
     EarlyStopMonitor,
@@ -190,39 +192,48 @@ def test_conv2_eval_memory_peak_is_bounded():
 
 
 _EVAL_FAULT_PROBE = """
+import json
 import resource
+import sys
 import numpy as np
 from qprune.data import Dataset
 from qprune.harness import keep_heap_resident
 from qprune.models import build_network, model_spec
-from qprune.training import evaluate_accuracy
+from qprune.training import evaluate_accuracy, shard_count
 
 assert keep_heap_resident()
+n = int(sys.argv[1])
 spec = model_spec("conv2", "cifar10", "quat")
 net = build_network(spec, seed=0)
-images = np.random.default_rng(0).random((200, *spec.input_shape), dtype=np.float32)
-data = Dataset(images, np.arange(200) % 10, 10)
+images = np.random.default_rng(0).random((n, *spec.input_shape), dtype=np.float32)
+data = Dataset(images, np.arange(n) % 10, 10)
 evaluate_accuracy(net, data)  # warm-up: maps the heap
 faults = []
 for _ in range(3):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     evaluate_accuracy(net, data)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(faults)
+print(json.dumps({"shards": shard_count(net), "faults": faults}))
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
 def test_conv2_eval_takes_no_page_faults_after_warm_up():
-    # the heap policy is process-wide, so it is measured in a child process
+    # The heap policy is process-wide, so it is measured in a child process.
+    # 200 images make four batches of 50, 203 images batches of 51 and 50,
+    # whose shards (26 + 25 and 25 + 25 on two cores) differ in length.
     src = os.path.dirname(os.path.dirname(training.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = subprocess.run(
-        [sys.executable, "-c", _EVAL_FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
-    faults = json.loads(probe.stdout)
-    assert len(faults) == 3
-    assert max(faults) < 100, faults
+    cores = len(os.sched_getaffinity(0)) if training.blas_threads() is not None else 1
+    for n in (200, 203):
+        probe = subprocess.run(
+            [sys.executable, "-c", _EVAL_FAULT_PROBE, str(n)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(probe.stdout)
+        assert result["shards"] == cores  # sharded wherever the machine allows it
+        assert len(result["faults"]) == 3
+        assert max(result["faults"]) < 100, (n, result)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,13 @@ def small_quat_conv_net(seed=0) -> Network:
     rng = np.random.default_rng(seed)
     f64 = np.float64
     layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(), Linear(32, 3, rng, f64)]
-    return Network(model_spec("conv2", "cifar10", "quat"), layers, f64)
+    return small_network(layers)
+
+
+def small_network(layers) -> Network:
+    net = Network(model_spec("conv2", "cifar10", "quat"), layers, np.float64)
+    net.widest_activation = 8 * 4 * 4  # the conv's output; the spec's 32x32 images do not fit these layers
+    return net
 
 
 def take_grads(net):
@@ -267,7 +284,7 @@ def small_quat_net_with_linear(seed=0) -> Network:
     f64 = np.float64
     layers = [QuatConv2d(1, 2, rng, f64), ReLU(), MaxPool2d(), Flatten(),
               QuatLinear(8, 2, rng, f64), ReLU(), Linear(8, 3, rng, f64)]
-    return Network(model_spec("conv2", "cifar10", "quat"), layers, f64)
+    return small_network(layers)
 
 
 def check_sharded_gradients(net, shards):
@@ -381,3 +398,107 @@ def test_overlapping_callers_keep_their_gradients_and_the_blas_count(two_cores):
         for grads in runs:
             for g, w in zip(grads, serial):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+# ---------------------------------------------------------------------------
+# sharded evaluation
+
+
+def shard_over(monkeypatch, shards):
+    """Make ``small_quat_conv_net`` shard over ``shards`` cores."""
+    monkeypatch.setattr(training, "SHARD_MIN_BYTES", 0)
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(shards)), raising=False)
+
+
+def eval_in_batches_of(monkeypatch, net, size):
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", size * net.widest_activation * net.dtype.itemsize)
+    assert eval_batch_size(net) == size
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sharded_evaluation_matches_one_shard_in_float64(two_cores, monkeypatch, shards):
+    net = small_quat_net_with_linear()
+    data = synthetic_dataset(n=11, shape=(3, 4, 4), classes=3, seed=6)
+    data.labels[:] = np.random.default_rng(7).integers(0, 3, 11)
+    eval_in_batches_of(monkeypatch, net, 4)  # 4 + 4 + 3 images
+    shard_over(monkeypatch, 1)
+    want = evaluate_accuracy(net, data), evaluate_loss(net, data)
+    shard_over(monkeypatch, shards)
+    assert shard_count(net) == shards
+    seen = []
+    shard_logits = training._shard_logits
+
+    def spy(net, images, slot):
+        seen.append((slot, len(images)))
+        return shard_logits(net, images, slot)
+
+    monkeypatch.setattr(training, "_shard_logits", spy)
+    assert evaluate_accuracy(net, data) == want[0]
+    assert evaluate_loss(net, data) == pytest.approx(want[1], rel=1e-12, abs=0)
+    plan = {2: [(0, 2), (1, 2), (0, 2), (1, 2), (0, 2), (1, 1)],
+            3: [(0, 2), (1, 1), (2, 1), (0, 2), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1)]}[shards]
+    assert sorted(seen) == sorted(plan * 2)  # two evaluations
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("n, size, lengths", [(50, 7, [7, 7] + [6] * 6), (12, 4, [4, 4, 4]), (3, 7, [3])])
+def test_eval_batches_are_equal_sized_and_cover_each_image_once_in_order(
+    two_cores, monkeypatch, shards, n, size, lengths
+):
+    net = small_quat_conv_net()
+    data = synthetic_dataset(n=n, shape=(3, 4, 4), classes=n, seed=8)
+    eval_in_batches_of(monkeypatch, net, size)
+    shard_over(monkeypatch, shards)
+    batches = list(training._batch_logits(net, data))
+    assert [len(labels) for _, labels in batches] == lengths
+    np.testing.assert_array_equal(np.concatenate([labels for _, labels in batches]), np.arange(n))
+    logits = np.concatenate([logits.data for logits, _ in batches])
+    np.testing.assert_allclose(logits, net.forward(net.prepare_input(data.images)).data, rtol=1e-12, atol=0)
+
+
+def test_evaluation_restores_blas_threads_also_when_a_shard_raises(two_cores, monkeypatch):
+    net = small_quat_conv_net()
+    data = synthetic_dataset(n=8, shape=(3, 4, 4), classes=3, seed=9)
+    shard_over(monkeypatch, 2)
+    before = training.blas_threads()
+    seen = []
+    shard_logits = training._shard_logits
+
+    def spy(net, images, slot):
+        seen.append(training.blas_threads())
+        return shard_logits(net, images, slot)
+
+    monkeypatch.setattr(training, "_shard_logits", spy)
+    evaluate_accuracy(net, data)
+    assert seen == [1, 1]
+    assert training.blas_threads() == before
+
+    def fail_in_slot_1(net, images, slot):
+        if slot == 1:
+            raise FloatingPointError("shard 1")
+        return shard_logits(net, images, slot)
+
+    monkeypatch.setattr(training, "_shard_logits", fail_in_slot_1)
+    with pytest.raises(FloatingPointError, match="shard 1"):
+        evaluate_accuracy(net, data)
+    assert training.blas_threads() == before
+
+
+def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients(two_cores, monkeypatch):
+    # inference reuses workspace slots 0 and 1; the taped forward, run in slot
+    # 0's context, must not have lent them the arrays its backward reads
+    net = small_quat_net_with_linear()
+    rng = np.random.default_rng(10)
+    images, labels = rng.random((6, 3, 4, 4)), rng.integers(0, 3, 6)
+    data = synthetic_dataset(n=8, shape=(3, 4, 4), classes=3, seed=11)
+    shard_over(monkeypatch, 2)
+    backward_batch(net, [], images, labels)
+    want = take_grads(net)
+    with T._inference_workspace(0):
+        with Tape() as tape:
+            loss = softmax_cross_entropy(net.forward(net.prepare_input(images)), labels)
+        evaluate_accuracy(net, data)  # on the shard threads, in slots 0 and 1
+        net.forward(net.prepare_input(data.images))  # in slot 0, on this thread
+        tape.backward(loss)
+    for g, w in zip(take_grads(net), want):
+        np.testing.assert_array_equal(g, w)
