@@ -14,8 +14,10 @@ context inside ``_inference_workspace(slot)``, with no tape active, the
 ops take the arrays they use only internally (``conv2d``'s padded input,
 output buffer and patch block, ``relu``'s mask, ``maxpool2d``'s partial
 maximum) from that slot's persistent buffers, so two contexts must never
-use one slot at the same time.  Everywhere else every array is fresh, and
-an op's output always is.
+use one slot at the same time: only the shard threads of a sharded
+evaluation enter the slots, one per slot, while its caller holds the
+training module's shard lock.  Everywhere else (under a tape, and in
+serial inference) every array is fresh, and an op's output always is.
 """
 
 from __future__ import annotations
@@ -142,13 +144,18 @@ def _inference_workspace(slot: int):
         _WORKSPACE.reset(token)
 
 
+def _lent() -> Optional[dict[int, np.ndarray]]:
+    """The buffers of this context's workspace slot in inference mode, else None."""
+    return _WORKSPACE.get() if _ACTIVE_TAPE.get() is None else None
+
+
 def _scratch(index: int, shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialised array that an op uses only until it returns: in
     inference mode inside ``_inference_workspace``, a view of the slot's
     buffer ``index`` (grown on demand; ops share the buffers, one op takes
     each index once); otherwise fresh, so that a tape may keep it."""
-    workspace = _WORKSPACE.get()
-    if workspace is None or _ACTIVE_TAPE.get() is not None:
+    workspace = _lent()
+    if workspace is None:
         return np.empty(shape, dtype)
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if index not in workspace or workspace[index].size < nbytes:
@@ -345,20 +352,22 @@ def quat_linear(x: Tensor, parts: Sequence[Tensor], *, b: Optional[Tensor] = Non
     return _maybe_record(out, parents, backward)
 
 
-# Columns per block of the conv's GEMMs, under a tape and in inference.  On
-# the 64->64 conv at one OpenBLAS thread, the count each shard runs at (2
-# vCPU): the backward pass of 30 images took 79 ms at 4096 columns and 90 ms
-# at 1024, while conv2-quat evaluated 716 images/s at 1024 and 690 at 4096,
-# and the smaller patch block keeps the inference workspace small.
+# Columns per block of the conv's GEMMs.  On the 64->64 conv (2 vCPU,
+# OpenBLAS), widths of 1024, 8192 and 16384 measured slower at two BLAS
+# threads; at one, as the shards run, the backward pass of 30 images took
+# 90 ms at 1024 against 79 ms at 4096.
 CONV_BLOCK = 4096
-INFERENCE_CONV_BLOCK = 1024
+# In a workspace slot the patch block stays resident: at 1024 columns it is
+# 7 MB smaller per slot for the 64->64 conv, which lowered conv2-quat's peak
+# RSS by 14 MB (10 of 10 alternating perfbench pairs against 4096).
+SLOT_CONV_BLOCK = 1024
 
 
 def _block_width(p: int) -> int:
-    """Columns per block for a [C, p] padded input: CONV_BLOCK under a tape,
-    else INFERENCE_CONV_BLOCK, capped at ceil(p / 9) so that a [9C, width]
-    patch block is no larger than the input."""
-    block = CONV_BLOCK if _ACTIVE_TAPE.get() is not None else INFERENCE_CONV_BLOCK
+    """Columns per block for a [C, p] padded input: CONV_BLOCK, or
+    SLOT_CONV_BLOCK in a workspace slot, capped at ceil(p / 9) so that a
+    [9C, width] patch block is no larger than the input."""
+    block = CONV_BLOCK if _lent() is None else SLOT_CONV_BLOCK
     return max(1, min(block, -(-p // 9)))
 
 

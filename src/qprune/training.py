@@ -7,6 +7,7 @@ import ctypes
 import functools
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import product
@@ -59,6 +60,8 @@ def blas_threads() -> Optional[int]:
 
 _SHARD_POOL = ThreadPoolExecutor(thread_name_prefix="qprune-shard")
 _SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the cores
+# Per network, the longest batch its evaluation shards grew the workspace to.
+_GROWN: "weakref.WeakKeyDictionary[Network, int]" = weakref.WeakKeyDictionary()
 
 
 def shard_count(net: Network) -> int:
@@ -190,11 +193,26 @@ def inference_logits(net: Network, images: np.ndarray, shards: int) -> np.ndarra
     return np.concatenate(_on_shards(_shard_logits, calls))
 
 
+def _grow_workspace(net: Network, data: Dataset, shards: int) -> None:
+    """Run one throw-away batch of zeros, as long as the longest evaluation
+    batch of ``data``, through ``net``'s evaluation shards, unless one as long
+    ran before.  The workspace slots then reach their full size before the
+    shards' other arrays are laid out around them: slots grown in the middle
+    of an evaluation left the heap a conv output short for some later
+    interleavings of the shards' allocations, which then faulted it in."""
+    size = min(eval_batch_size(net), len(data))
+    if _GROWN.get(net, 0) < size:
+        _GROWN[net] = size
+        inference_logits(net, np.zeros((size, *data.images.shape[1:]), net.dtype), shards)
+
+
 def _batch_logits(net: Network, data: Dataset) -> Iterator[tuple[Tensor, np.ndarray]]:
     """Inference-mode logits and labels of ``data``, one batch at a time, in
     ceil(n / ``eval_batch_size``) batches that differ in length by at most
     one image, each split over ``shard_count(net)`` shards."""
     shards = shard_count(net)
+    if shards > 1:
+        _grow_workspace(net, data, shards)
     for batch in _spans(len(data), -(-len(data) // eval_batch_size(net))):
         yield Tensor(inference_logits(net, data.images[batch], shards)), data.labels[batch]
 
@@ -235,6 +253,8 @@ def train(
     opt = Adam(net.parameters(), lr=settings.lr)
     shards = shard_count(net)
     replicas = [replica(net) for _ in range(shards)] if shards > 1 else []
+    if replicas:  # before the steps lay out the heap
+        _grow_workspace(net, train_data, shards)
     mask_arrays = mask.arrays if mask is not None else None
     monitor = EarlyStopMonitor(settings.patience) if settings.early_stop else None
     if settings.early_stop and validation_data is None:

@@ -234,34 +234,34 @@ def test_conv2d_block_boundaries(shape, blocks, monkeypatch):
     elif blocks == "partial":
         assert span > 4 and span % 4
         monkeypatch.setattr(T, "CONV_BLOCK", 4)
-        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 4)
     else:
         monkeypatch.setattr(T, "CONV_BLOCK", 1)
-        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 1)
     n, _, _, h, w = shape
     assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
-    with Tape():
-        assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
     check_conv_forward(shape)
     check_conv_backward(shape)
     check_conv_float32(shape)
 
 
 def test_conv2d_block_width_rule():
-    # 4096 columns under a tape and 1024 in inference, capped at ceil(P / 9)
-    # so a [9C, width] block is no larger than the [C, P] padded input.
-    assert T.INFERENCE_CONV_BLOCK == 1024
-    assert T._block_width(60 * 34 * 34) == 1024
-    assert T._block_width(2 * 34 * 34) == 257
+    # 4096 columns, capped at ceil(P / 9) so a [9C, width] block is no
+    # larger than the [C, P] padded input.
+    assert T._block_width(60 * 34 * 34) == 4096
+    assert T._block_width(8 * 34 * 34) == 1028
     assert T._block_width(10) == 2
     assert T._block_width(1) == 1
     assert T._block_width(0) == 1
-    with Tape():
-        assert T.CONV_BLOCK == 4096
-        assert T._block_width(60 * 34 * 34) == 4096
-        assert T._block_width(8 * 34 * 34) == 1028
-        assert T._block_width(10) == 2
-        assert T._block_width(0) == 1
+
+
+def test_conv2d_block_width_in_a_workspace_slot():
+    # a slot's patch block stays resident, so it is 1024 columns wide, with
+    # the same cap; a taped conv in the slot's context keeps 4096
+    with T._inference_workspace(0):
+        assert T._block_width(60 * 34 * 34) == 1024
+        assert T._block_width(2 * 34 * 34) == 257
+        with Tape():
+            assert T._block_width(60 * 34 * 34) == 4096
+    assert T._block_width(60 * 34 * 34) == 4096
 
 
 def test_inference_outputs_in_a_workspace_slot_are_fresh():

@@ -437,7 +437,7 @@ def test_sharded_evaluation_matches_one_shard_in_float64(two_cores, monkeypatch,
     assert evaluate_loss(net, data) == pytest.approx(want[1], rel=1e-12, abs=0)
     plan = {2: [(0, 2), (1, 2), (0, 2), (1, 2), (0, 2), (1, 1)],
             3: [(0, 2), (1, 1), (2, 1), (0, 2), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1)]}[shards]
-    assert sorted(seen) == sorted(plan * 2)  # two evaluations
+    assert sorted(seen) == sorted(plan * 2 + plan[:shards])  # two evaluations, after one growth batch of 4
 
 
 @pytest.mark.parametrize("shards", [1, 2])
@@ -470,7 +470,7 @@ def test_evaluation_restores_blas_threads_also_when_a_shard_raises(two_cores, mo
 
     monkeypatch.setattr(training, "_shard_logits", spy)
     evaluate_accuracy(net, data)
-    assert seen == [1, 1]
+    assert seen == [1] * 4  # the workspace's growth batch, then the data's
     assert training.blas_threads() == before
 
     def fail_in_slot_1(net, images, slot):
@@ -482,6 +482,44 @@ def test_evaluation_restores_blas_threads_also_when_a_shard_raises(two_cores, mo
     with pytest.raises(FloatingPointError, match="shard 1"):
         evaluate_accuracy(net, data)
     assert training.blas_threads() == before
+
+
+def slot_buffers():
+    return {(slot, i): (id(buf), buf.size) for slot, bufs in T._SLOTS.items() for i, buf in bufs.items()}
+
+
+def test_first_sharded_evaluation_grows_the_workspace_to_its_longest_batch(two_cores, monkeypatch):
+    net = small_quat_net_with_linear()
+    eval_in_batches_of(monkeypatch, net, 6)
+    shard_over(monkeypatch, 2)
+    seen = []
+    shard_logits = training._shard_logits
+
+    def spy(net, images, slot):
+        seen.append((slot, len(images), bool(images.any())))
+        return shard_logits(net, images, slot)
+
+    monkeypatch.setattr(training, "_shard_logits", spy)
+    evaluate_accuracy(net, synthetic_dataset(n=11, shape=(3, 4, 4), classes=3, seed=12))  # batches of 6 and 5
+    assert sorted(seen[:2]) == [(0, 3, False), (1, 3, False)]  # six zero images, before the data
+    assert sorted(seen[2:]) == [(0, 3, True), (0, 3, True), (1, 2, True), (1, 3, True)]
+    grown = slot_buffers()
+    for n in (11, 7, 5, 2):  # no later evaluation of at most six images per batch grows a slot
+        evaluate_accuracy(net, synthetic_dataset(n=n, shape=(3, 4, 4), classes=3, seed=n))
+    assert slot_buffers() == grown and len(seen) == 6 + 4 + 4 + 2 + 2
+
+
+def test_sharded_training_grows_the_eval_workspace_before_its_first_step(two_cores, monkeypatch):
+    net = small_quat_conv_net()
+    data = synthetic_dataset(n=8, shape=(3, 4, 4), classes=3, seed=13)
+    shard_over(monkeypatch, 2)
+    calls = []
+    grow, step = training._grow_workspace, training.backward_batch
+    monkeypatch.setattr(training, "_grow_workspace", lambda *args: calls.append("grow") or grow(*args))
+    monkeypatch.setattr(training, "backward_batch", lambda *args: calls.append("step") or step(*args))
+    train(net, data, TrainSettings(epochs=1, batch_size=4, lr=1e-3), np.random.default_rng(0), test_data=data)
+    assert calls[0] == "grow" and "step" in calls
+    assert training._GROWN[net] == 8
 
 
 def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients(two_cores, monkeypatch):
