@@ -15,11 +15,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import harness
 from .errors import ConfigError, DataFormatError, NumericalError
 from .models import DATASET_NAMES, FIELDS, MODEL_NAMES
 
 
+def _default(name: str):
+    return harness.ExperimentConfig.__dataclass_fields__[name].default
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Each ``run`` flag's dest is the ``ExperimentConfig`` field it sets;
+    a flag left out stays None, which keeps the config's default."""
     parser = argparse.ArgumentParser(prog="qprune")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -27,52 +34,35 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", required=True, choices=MODEL_NAMES)
     run.add_argument("--dataset", required=True, choices=DATASET_NAMES)
     run.add_argument("--field", required=True, choices=FIELDS)
-    run.add_argument("--trials", type=int, default=None, help="trial count (default 5)")
-    run.add_argument("--epochs", type=int, default=None, help="override the per-model default")
-    run.add_argument("--batch", type=int, default=None, help="override the per-model default")
-    run.add_argument("--lr", type=float, default=None, help="override the per-model default")
-    run.add_argument("--prune-rate", type=float, default=None, help="per-iteration prune fraction (default 0.2)")
-    run.add_argument("--stop-threshold", type=float, default=None, help="accuracy stop threshold (default 0.3)")
+    run.add_argument("--trials", type=int, help=f"trial count (default {_default('trials')})")
+    run.add_argument("--epochs", type=int, help="override the per-model default")
+    run.add_argument("--batch", dest="batch_size", type=int, help="override the per-model default")
+    run.add_argument("--lr", type=float, help="override the per-model default")
+    run.add_argument("--prune-rate", type=float,
+                     help=f"per-iteration prune fraction (default {_default('prune_rate')})")
+    run.add_argument("--stop-threshold", type=float,
+                     help=f"accuracy stop threshold (default {_default('stop_threshold')})")
     run.add_argument("--early-stop", action="store_true", help="stop on plateaued validation loss")
-    run.add_argument("--patience", type=int, default=None, help="early-stop patience in evaluations (default 10)")
-    run.add_argument("--seed", type=int, default=None, help="base seed; trial i uses seed+i")
-    run.add_argument("--data", default=None, help="dataset directory")
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None, help="parallel trial workers")
-    run.add_argument("--rounds", type=int, default=None, help="bound the number of pruning iterations")
-    run.add_argument("--train-subset", type=int, default=None,
-                     help="train on the first N examples only (smoke profile)")
+    run.add_argument("--patience", type=int,
+                     help=f"early-stop patience in evaluations (default {_default('patience')})")
+    run.add_argument("--seed", dest="base_seed", type=int, help="base seed; trial i uses seed+i")
+    run.add_argument("--data", dest="data_dir", help="dataset directory")
+    run.add_argument("--out", dest="out_dir", help="output directory")
+    run.add_argument("--workers", type=int,
+                     help="trials run at once, as threads that share the shard pool; measured no faster than 1")
+    run.add_argument("--rounds", type=int, help="bound the number of pruning iterations")
+    run.add_argument("--train-subset", type=int, help="train on the first N examples only (smoke profile)")
 
-    ver = sub.add_parser("verify", help="run the property/oracle self-checks")
-    ver.add_argument("--pairs", type=int, default=10000, help="random pairs for the Hamilton check")
+    sub.add_parser("verify", help="run the property/oracle self-checks")
     return parser
 
 
 def _cmd_run(args) -> int:
-    from .harness import ExperimentConfig, check_output_dir, emit_results, run_experiment
-
-    config = ExperimentConfig.from_model_dataset(
-        args.model,
-        args.dataset,
-        args.field,
-        trials=args.trials,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        prune_rate=args.prune_rate,
-        stop_threshold=args.stop_threshold,
-        early_stop=args.early_stop or None,
-        patience=args.patience,
-        base_seed=args.seed,
-        data_dir=args.data,
-        out_dir=args.out,
-        workers=args.workers,
-        rounds=args.rounds,
-        train_subset=args.train_subset,
-    )
-    check_output_dir(config.out_dir)
-    result = run_experiment(config)
-    paths = emit_results(result, config.out_dir)
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "model", "dataset", "field")}
+    config = harness.ExperimentConfig.from_model_dataset(args.model, args.dataset, args.field, **overrides)
+    harness.check_output_dir(config.out_dir)
+    result = harness.run_experiment(config)
+    paths = harness.emit_results(result, config.out_dir)
     for t in result.trials:
         status = f"FAILED: {t.error}" if t.failed else f"{len(t.rounds)} sparsity levels"
         print(f"trial seed={t.seed}: {status} ({t.wall_seconds:.1f}s)")
@@ -87,8 +77,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify() -> int:
     from .verify import (
+        HAMILTON_PAIRS,
         exact_count_report,
         gradient_check_all,
         hamilton_matrix_max_error,
@@ -98,8 +89,6 @@ def _cmd_verify(args) -> int:
         shard_logits_max_error,
     )
 
-    if args.pairs < 1:
-        raise ConfigError(f"pairs must be >= 1, got {args.pairs}")
     failed = False
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -107,8 +96,8 @@ def _cmd_verify(args) -> int:
         failed |= not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
-    err = hamilton_matrix_max_error(args.pairs)
-    report("hamilton-vs-matrix", err < 1e-6, f"max abs error {err:.3e} over {args.pairs} pairs")
+    err = hamilton_matrix_max_error()
+    report("hamilton-vs-matrix", err < 1e-6, f"max abs error {err:.3e} over {HAMILTON_PAIRS} pairs")
 
     for name, err in quat_layer_max_error().items():
         report(f"layer-oracle/{name}", err < 1e-5, f"rel error {err:.3e}")
@@ -136,7 +125,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        return _cmd_verify(args)
+        return _cmd_verify()
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

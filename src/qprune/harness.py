@@ -19,8 +19,8 @@ from . import __version__
 from .data import Dataset, load_cifar, load_mnist, split_train_validation
 from .errors import ConfigError, NumericalError
 from .models import ModelSpec, build_network, count_parameters, model_spec
-from .pruning import PruneSchedule, RoundResult, iterative_lottery
-from .training import TrainSettings, blas_threads, evaluate_accuracy, shard_count, train
+from .pruning import RoundResult, iterative_lottery
+from .training import blas_threads, evaluate_accuracy, shard_count, train
 
 VALIDATION_SIZE = 5000
 
@@ -206,7 +206,8 @@ def run_trial(
     """One fully deterministic trial: build, train, pruning sweep.
 
     The seed drives initialization, batch shuffling, and the validation
-    split.  Returns a failed record (``error`` set) on numerical failure.
+    split.  Returns a failed record (``error`` set) on numerical failure,
+    which keeps the levels finished before it.
     """
     started = time.monotonic()
     if datasets is None:
@@ -214,7 +215,6 @@ def run_trial(
     train_full, test_set = datasets
     result = TrialResult(seed=seed)
     rng = np.random.default_rng(seed)
-    spec = config.spec()
 
     validation = None
     train_set = train_full
@@ -222,38 +222,22 @@ def run_trial(
         vs = _validation_size(len(train_full))
         train_set, validation = split_train_validation(train_full, vs, seed)
 
-    net = build_network(spec, rng=rng)
-    settings = TrainSettings(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        early_stop=config.early_stop,
-        patience=config.patience,
-    )
-    schedule = PruneSchedule(rate=config.prune_rate, stop_threshold=config.stop_threshold)
-
-    first_round = True
+    net = build_network(config.spec(), rng=rng)
 
     def train_fn(network, mask):
-        nonlocal first_round
-        rec = train(
-            network,
-            train_set,
-            settings,
-            rng,
-            mask=mask,
-            test_data=test_set if first_round else None,
-            validation_data=validation,
+        record = train(
+            network, train_set, rng, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
+            patience=config.patience if config.early_stop else None, mask=mask,
+            test_data=None if result.rounds else test_set, validation_data=validation,
         )
-        if first_round:
-            result.curve = rec.epoch_test_accuracy
-            first_round = False
-
-    def eval_fn(network):
-        return evaluate_accuracy(network, test_set)
+        if not result.rounds:  # the dense level's curve is the training curve
+            result.curve = record.epoch_test_accuracy
 
     try:
-        result.rounds = iterative_lottery(net, schedule, train_fn, eval_fn, max_rounds=config.rounds)
+        iterative_lottery(
+            net, train_fn, lambda network: evaluate_accuracy(network, test_set), result.rounds,
+            rate=config.prune_rate, stop_threshold=config.stop_threshold, max_rounds=config.rounds,
+        )
     except NumericalError as e:
         result.error = f"{type(e).__name__}: {e}"
     result.wall_seconds = time.monotonic() - started

@@ -52,7 +52,7 @@ class Layer:
 
 class Linear(Layer):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_dim, self.out_dim = in_dim, out_dim
+        self.in_dim = in_dim
         self.w = _uniform(rng, 1.0 / np.sqrt(in_dim), (in_dim, out_dim), dtype)
         self.b = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
@@ -67,7 +67,6 @@ class Linear(Layer):
 
 class Conv2d(Layer):
     def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_ch, self.out_ch = in_ch, out_ch
         self.k = _uniform(rng, 1.0 / np.sqrt(in_ch * 9), (out_ch, in_ch, 3, 3), dtype)
         self.b = Tensor(np.zeros(out_ch, dtype=dtype), requires_grad=True)
 
@@ -88,7 +87,7 @@ class QuatLinear(Layer):
     """
 
     def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q, self.out_q = in_q, out_q
+        self.in_q = in_q
         bound = 1.0 / np.sqrt(4 * in_q)
         self.w_r = _uniform(rng, bound, (in_q, out_q), dtype)
         self.w_x = _uniform(rng, bound, (in_q, out_q), dtype)
@@ -118,7 +117,7 @@ class QuatConv2d(Layer):
     """3x3 quaternion convolution over component-plane feature maps."""
 
     def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q, self.out_q = in_q, out_q
+        self.in_q = in_q
         bound = 1.0 / np.sqrt(4 * in_q * 9)
         shape = (out_q, in_q, 3, 3)
         self.k_r = _uniform(rng, bound, shape, dtype)

@@ -10,6 +10,7 @@ no whole weight is left to prune.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,16 +46,6 @@ class Snapshot:
     """Copy of every parameter tensor at initialization (theta_0)."""
 
     arrays: dict[str, np.ndarray]
-
-
-@dataclass
-class PruneSchedule:
-    rate: float = 0.2
-    stop_threshold: float = 0.3
-
-    def __post_init__(self):
-        if not (0.0 < self.rate < 1.0):
-            raise ValueError(f"prune rate must lie in (0,1), got {self.rate}")
 
 
 @dataclass
@@ -150,37 +141,35 @@ def rewind(net: Network, snapshot: Snapshot, mask: Mask) -> Network:
 
 def iterative_lottery(
     net: Network,
-    schedule: PruneSchedule,
     train_fn: Callable[[Network, Mask], None],
     eval_fn: Callable[[Network], float],
+    results: list[RoundResult],
+    *,
+    rate: float,
+    stop_threshold: float,
     max_rounds: int | None = None,
-) -> list[RoundResult]:
+) -> None:
     """Run the full iterative magnitude-pruning loop on a fresh network.
 
     ``train_fn(net, mask)`` trains in place for the full budget;
     ``eval_fn(net)`` returns test accuracy.  Reported accuracy at each
-    sparsity level is that of the rewound-and-retrained model.  Returns one
-    entry per level, the dense model first.
+    sparsity level is that of the rewound-and-retrained model.  Each
+    finished level is appended to ``results``, the dense model first, so
+    the levels before an exception stay with the caller.
     """
+    if not (0.0 < rate < 1.0):
+        raise ValueError(f"prune rate must lie in (0,1), got {rate}")
     snapshot = capture_snapshot(net)
     mask = full_mask(net)
-    results: list[RoundResult] = []
-
-    train_fn(net, mask)
-    results.append(RoundResult(sparsity(mask), eval_fn(net), mask.kept_count()))
-
-    failures = 0
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
-        if prune_count(schedule.rate, mask.kept_count()) < 1:
-            break
-        mask = global_magnitude_prune(net, mask, schedule.rate)
-        rewind(net, snapshot, mask)
+    failures = 0  # successive pruned levels below the threshold
+    for level in itertools.count():
         train_fn(net, mask)
         acc = eval_fn(net)
         results.append(RoundResult(sparsity(mask), acc, mask.kept_count()))
-        rounds += 1
-        failures = failures + 1 if acc < schedule.stop_threshold else 0
-        if failures >= CONSECUTIVE_FAILURES:
-            break
-    return results
+        failures = failures + 1 if level and acc < stop_threshold else 0
+        if failures == CONSECUTIVE_FAILURES or level == max_rounds:
+            return
+        if prune_count(rate, mask.kept_count()) < 1:  # no whole weight left to prune
+            return
+        mask = global_magnitude_prune(net, mask, rate)
+        rewind(net, snapshot, mask)

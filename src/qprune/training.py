@@ -132,7 +132,7 @@ class EarlyStopMonitor:
     """Stops after ``patience`` consecutive evaluations without a new
     strict minimum of the validation loss."""
 
-    def __init__(self, patience: int = 10):
+    def __init__(self, patience: int):
         self.patience = patience
         self.best: float = np.inf
         self.best_index: int = -1
@@ -150,15 +150,6 @@ class EarlyStopMonitor:
         else:
             self.since_best += 1
         return self.since_best >= self.patience
-
-
-@dataclass
-class TrainSettings:
-    epochs: int
-    batch_size: int
-    lr: float
-    early_stop: bool = False
-    patience: int = 10
 
 
 @dataclass
@@ -235,38 +226,42 @@ def evaluate_loss(net: Network, data: Dataset) -> float:
 
 def train(
     net: Network,
-    train_data: Dataset,
-    settings: TrainSettings,
+    data: Dataset,
     rng: np.random.Generator,
+    *,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    patience: Optional[int] = None,
     mask: Optional[Mask] = None,
     test_data: Optional[Dataset] = None,
     validation_data: Optional[Dataset] = None,
 ) -> TrainRecord:
     """Train in place with Adam; returns the per-epoch test-accuracy curve.
 
-    With ``settings.early_stop`` the validation loss is evaluated every
-    ``EVAL_EVERY_STEPS`` optimizer steps; training stops after ``patience``
-    evaluations without a new minimum and the parameters are restored to
-    the best evaluation's checkpoint (also at normal completion).
+    With a ``patience`` (early stopping) the validation loss is evaluated
+    every ``EVAL_EVERY_STEPS`` optimizer steps; training stops after
+    ``patience`` evaluations without a new minimum and the parameters are
+    restored to the best evaluation's checkpoint (also at normal completion).
     """
+    if patience is not None and validation_data is None:
+        raise ValueError("early stopping requires a validation split")
     record = TrainRecord()
-    opt = Adam(net.parameters(), lr=settings.lr)
+    opt = Adam(net.parameters(), lr=lr)
     shards = shard_count(net)
     replicas = [replica(net) for _ in range(shards)] if shards > 1 else []
     if replicas:  # before the steps lay out the heap
-        _grow_workspace(net, train_data, shards)
+        _grow_workspace(net, data, shards)
     mask_arrays = mask.arrays if mask is not None else None
-    monitor = EarlyStopMonitor(settings.patience) if settings.early_stop else None
-    if settings.early_stop and validation_data is None:
-        raise ValueError("early stopping requires a validation split")
+    monitor = EarlyStopMonitor(patience) if patience is not None else None
     best_state: Optional[dict[str, np.ndarray]] = None
 
-    n = len(train_data)
-    for epoch in range(settings.epochs):
+    n = len(data)
+    for epoch in range(epochs):
         perm = rng.permutation(n)
-        for lo in range(0, n, settings.batch_size):
-            idx = perm[lo : lo + settings.batch_size]
-            loss = backward_batch(net, replicas, train_data.images[idx], train_data.labels[idx])
+        for lo in range(0, n, batch_size):
+            idx = perm[lo : lo + batch_size]
+            loss = backward_batch(net, replicas, data.images[idx], data.labels[idx])
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {epoch} step {record.steps}")
             opt.step(mask_arrays)

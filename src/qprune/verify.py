@@ -19,12 +19,14 @@ from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
 from .training import backward_batch, inference_logits, replica
 
+HAMILTON_PAIRS = 10_000  # random quaternion pairs of the Hamilton-vs-matrix check
+
 
 # ---------------------------------------------------------------------------
 # quaternion algebra: componentwise product vs 4x4 matrix-vector
 
 
-def hamilton_matrix_max_error(n_pairs: int = 10000, seed: int = 0) -> float:
+def hamilton_matrix_max_error(n_pairs: int = HAMILTON_PAIRS, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     lhs = rng.standard_normal((n_pairs, 4))
     rhs = rng.standard_normal((n_pairs, 4))

@@ -20,15 +20,13 @@ from qprune.harness import ExperimentConfig, emit_results, run_experiment, run_t
 from qprune.layers import Linear
 from qprune.models import Network, build_network, count_parameters, model_spec
 from qprune.pruning import (
-    PruneSchedule,
     capture_snapshot,
     full_mask,
     global_magnitude_prune,
-    iterative_lottery,
     rewind,
     sparsity,
 )
-from qprune.training import EarlyStopMonitor, TrainSettings, evaluate_accuracy, train
+from qprune.training import EarlyStopMonitor, evaluate_accuracy, train
 from qprune.verify import (
     exact_count_report,
     gradient_check_all,
@@ -219,7 +217,7 @@ def test_criterion_8a_conv2_accuracy_within_ten_epochs(cifar10_dir):
         rng = np.random.default_rng(0)
         best = 0.0
         for epoch in range(10):
-            train(net, train_full, TrainSettings(epochs=1, batch_size=60, lr=spec.lr), rng)
+            train(net, train_full, rng, epochs=1, batch_size=60, lr=spec.lr)
             epochs_used[field] = epoch + 1
             if evaluate_accuracy(net, probe) > 0.51:
                 best = evaluate_accuracy(net, test_set)

@@ -1,10 +1,14 @@
+import argparse
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import make_mnist_files, write_idx_images
-from qprune.cli import main
+from qprune.cli import _build_parser, main
+from qprune.errors import ConfigError
+from qprune.harness import ExperimentConfig
 
 
 def test_run_requires_valid_model(capsys):
@@ -42,13 +46,40 @@ def test_bad_numeric_flag_exits_1(tmp_path, capsys, flag, value, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("pairs", ["0", "-1"])
-def test_verify_without_pairs_exits_1(capsys, pairs):
-    rc = main(["verify", "--pairs", pairs])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "config error" in captured.err and "pairs" in captured.err
-    assert "PASS" not in captured.out
+def run_parser():
+    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subcommands.choices["run"]
+
+
+def test_run_flags_are_named_for_the_config_fields():
+    dests = {a.dest for a in run_parser()._actions} - {"help", "model", "dataset", "field"}
+    assert dests == {f.name for f in fields(ExperimentConfig)} - {"model", "dataset", "field"}
+
+
+def test_every_run_flag_reaches_the_config(tmp_path, monkeypatch):
+    values = dict(
+        trials=3, epochs=2, batch_size=7, lr=0.5, prune_rate=0.3, stop_threshold=0.4, early_stop=True,
+        patience=4, base_seed=9, data_dir=str(tmp_path / "d"), out_dir=str(tmp_path / "o"), workers=2,
+        rounds=5, train_subset=11,
+    )
+    flags = {a.dest: a.option_strings[0] for a in run_parser()._actions if a.option_strings}
+    argv = ["run", "--model", "lenet12", "--dataset", "mnist", "--field", "quat", "--early-stop"]
+    defaults = ExperimentConfig.from_model_dataset("lenet12", "mnist", "quat")
+    for name, value in values.items():
+        assert getattr(defaults, name) != value
+        if name != "early_stop":
+            argv += [flags[name], str(value)]
+    configs = []
+
+    def record(config):
+        configs.append(config)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr("qprune.harness.run_experiment", record)
+    assert main(argv) == 1
+    (config,) = configs
+    assert (config.model, config.dataset, config.field) == ("lenet12", "mnist", "quat")
+    assert {name: getattr(config, name) for name in values} == values
 
 
 @pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
@@ -194,7 +225,7 @@ def test_early_stop_flag_parses(tmp_path):
 
 
 def test_verify_subcommand_passes(capsys):
-    rc = main(["verify", "--pairs", "500"])
+    rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS hamilton-vs-matrix" in out

@@ -13,7 +13,7 @@ import pytest
 import qprune.harness as harness
 import qprune.training as training
 from conftest import make_cifar10_files, synthetic_dataset
-from qprune.errors import ConfigError
+from qprune.errors import ConfigError, NumericalError
 from qprune.harness import (
     AggregateResult,
     ExperimentConfig,
@@ -225,6 +225,39 @@ def test_failed_trial_reported_with_partial_results(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["trials_failed"] == 2
     assert len(manifest["trial_errors"]) == 2
+
+
+def fail_third_train_call(monkeypatch):
+    """From now on, the third ``train`` call of the harness raises."""
+    calls, train = [], harness.train
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalError("injected at the third train call")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", third_fails)
+
+
+def test_failed_trial_keeps_its_finished_levels(tmp_path, monkeypatch):
+    ds = tiny_datasets()
+    clean = run_trial(tiny_config(rounds=3), seed=0, datasets=ds)
+    fail_third_train_call(monkeypatch)
+    trial = run_trial(tiny_config(rounds=3), seed=0, datasets=ds)
+    assert trial.failed and "injected" in trial.error
+    assert [(r.sparsity, r.kept) for r in trial.rounds] == [(1.0, 784 * 12 + 12 * 10), (ladder(9528, 1)[1], 7623)]
+    assert trial.rounds == clean.rounds[:2]
+
+    # run_experiment leaves the failed trial out of both CSVs: seed 0 fails at
+    # its third call, seed 1 runs clean, which gives the files of seed 1 alone
+    fail_third_train_call(monkeypatch)
+    agg = _aggregate_with_data(tiny_config(trials=2, rounds=3), ds)
+    assert agg.failures == 1 and len(agg.trials[0].rounds) == 2 and not agg.trials[1].failed
+    emit_results(agg, str(tmp_path / "one_failed"))
+    monkeypatch.undo()
+    emit_results(_aggregate_with_data(tiny_config(trials=1, rounds=3, base_seed=1), ds), str(tmp_path / "clean"))
+    assert csv_bytes(tmp_path / "one_failed") == csv_bytes(tmp_path / "clean")
 
 
 # ---------------------------------------------------------------------------

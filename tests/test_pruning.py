@@ -7,7 +7,6 @@ from qprune.layers import Linear
 from qprune.models import Network, model_spec
 from qprune.pruning import (
     Mask,
-    PruneSchedule,
     capture_snapshot,
     full_mask,
     global_magnitude_prune,
@@ -54,7 +53,8 @@ def test_prune_count_at_rate_02_matches_float_floor():
 
 def test_lottery_ladder_at_rate_029_is_exact():
     net = make_net(((100, 1),))
-    results = iterative_lottery(net, PruneSchedule(rate=0.29), lambda n, m: None, lambda n: 1.0)
+    results = []
+    iterative_lottery(net, lambda n, m: None, lambda n: 1.0, results, rate=0.29, stop_threshold=0.3)
     expected = [100]
     while expected[-1] * 29 // 100 >= 1:  # stops when no whole weight is left to prune
         expected.append(expected[-1] - expected[-1] * 29 // 100)
@@ -234,8 +234,8 @@ def test_always_failing_threshold_stops_after_two_prune_iterations():
         calls["eval"] += 1
         return 0.5  # always below a 1.1 threshold
 
-    schedule = PruneSchedule(rate=0.2, stop_threshold=1.1)
-    results = iterative_lottery(net, schedule, train_fn, eval_fn)
+    results = []
+    iterative_lottery(net, train_fn, eval_fn, results, rate=0.2, stop_threshold=1.1)
     assert len(results) == 3  # dense + exactly 2 pruning iterations
     assert calls["train"] == 3
 
@@ -253,7 +253,8 @@ def test_lottery_reports_descending_sparsity_and_uses_rewound_models():
     def eval_fn(network):
         return 1.0  # never triggers the stop rule
 
-    results = iterative_lottery(net, PruneSchedule(), train_fn, eval_fn, max_rounds=4)
+    results = []
+    iterative_lottery(net, train_fn, eval_fn, results, rate=0.2, stop_threshold=0.3, max_rounds=4)
     sparsities = [r.sparsity for r in results]
     assert sparsities[0] == 1.0
     assert all(a > b for a, b in zip(sparsities, sparsities[1:]))
@@ -263,9 +264,11 @@ def test_lottery_reports_descending_sparsity_and_uses_rewound_models():
     assert results[-1].kept == expected_kept == 452
 
 
-def test_schedule_validates_rate():
-    with pytest.raises(ValueError):
-        PruneSchedule(rate=1.2)
+def test_lottery_validates_rate_before_training():
+    calls = []
+    with pytest.raises(ValueError, match="prune rate"):
+        iterative_lottery(make_net(), lambda n, m: calls.append(m), calls.append, [], rate=1.2, stop_threshold=0.3)
+    assert calls == []
 
 
 def test_output_layer_shares_the_global_pool():

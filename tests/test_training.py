@@ -21,7 +21,6 @@ from qprune.tensor import Tape, softmax_cross_entropy
 from qprune.training import (
     EVAL_BATCH_BYTES,
     EarlyStopMonitor,
-    TrainSettings,
     backward_batch,
     eval_batch_size,
     evaluate_accuracy,
@@ -71,7 +70,7 @@ def test_training_reduces_loss_on_learnable_data():
     spec = model_spec("lenet12", "mnist", "real")
     net = build_network(spec, seed=0)
     before = evaluate_loss(net, ds)
-    train(net, ds, TrainSettings(epochs=3, batch_size=60, lr=1.2e-3), rng)
+    train(net, ds, rng, epochs=3, batch_size=60, lr=1.2e-3)
     assert evaluate_loss(net, ds) < before
 
 
@@ -81,7 +80,7 @@ def test_training_is_deterministic():
         ds = synthetic_dataset(n=120, seed=2)
         net = build_network(model_spec("lenet12", "mnist", "quat"), seed=3)
         rng = np.random.default_rng(3)
-        train(net, ds, TrainSettings(epochs=2, batch_size=30, lr=1e-3), rng, test_data=ds)
+        train(net, ds, rng, epochs=2, batch_size=30, lr=1e-3, test_data=ds)
         results.append(np.concatenate([p.tensor.data.ravel() for p in net.parameters()]))
     np.testing.assert_array_equal(results[0], results[1])
 
@@ -89,7 +88,7 @@ def test_training_is_deterministic():
 def test_per_epoch_curve_length():
     ds = synthetic_dataset(n=60, seed=4)
     net = build_network(model_spec("lenet12", "mnist", "real"), seed=0)
-    rec = train(net, ds, TrainSettings(epochs=3, batch_size=20, lr=1e-3), np.random.default_rng(0), test_data=ds)
+    rec = train(net, ds, np.random.default_rng(0), epochs=3, batch_size=20, lr=1e-3, test_data=ds)
     assert len(rec.epoch_test_accuracy) == 3
     assert rec.steps == 9
 
@@ -100,15 +99,14 @@ def test_non_finite_loss_raises_numerical_error():
     net = build_network(model_spec("lenet12", "mnist", "real"), seed=0)
     net.parameters()[1].tensor.data[:] = np.inf
     with pytest.raises(NumericalError, match="non-finite"):
-        train(net, ds, TrainSettings(epochs=1, batch_size=30, lr=1e-3), np.random.default_rng(0))
+        train(net, ds, np.random.default_rng(0), epochs=1, batch_size=30, lr=1e-3)
 
 
 def test_early_stop_restores_best_parameters():
     ds = synthetic_dataset(n=400, seed=6)
     val = synthetic_dataset(n=100, seed=7)
     net = build_network(model_spec("lenet12", "mnist", "real"), seed=1)
-    settings = TrainSettings(epochs=50, batch_size=4, lr=5e-2, early_stop=True, patience=3)
-    rec = train(net, ds, settings, np.random.default_rng(1), validation_data=val)
+    rec = train(net, ds, np.random.default_rng(1), epochs=50, batch_size=4, lr=5e-2, patience=3, validation_data=val)
     # random labels + aggressive lr: validation loss cannot keep improving
     assert rec.stopped_early
     assert rec.best_eval_index >= 0
@@ -120,7 +118,7 @@ def test_early_stop_requires_validation_split():
     ds = synthetic_dataset(n=30, seed=8)
     net = build_network(model_spec("lenet12", "mnist", "real"), seed=0)
     with pytest.raises(ValueError, match="validation"):
-        train(net, ds, TrainSettings(epochs=1, batch_size=10, lr=1e-3, early_stop=True), np.random.default_rng(0))
+        train(net, ds, np.random.default_rng(0), epochs=1, batch_size=10, lr=1e-3, patience=10)
 
 
 def test_evaluate_accuracy_on_constant_predictions():
@@ -357,7 +355,7 @@ def test_nan_in_one_shard_raises_and_restores_blas_threads(two_cores, monkeypatc
     monkeypatch.setattr(training, "backward_batch", spy)
     before = training.blas_threads()
     with pytest.raises(NumericalError, match="non-finite loss nan at epoch 0 step 0"):
-        train(net, data, TrainSettings(epochs=1, batch_size=4, lr=1e-3), np.random.default_rng(0))
+        train(net, data, np.random.default_rng(0), epochs=1, batch_size=4, lr=1e-3)
     assert seen == [1, 1]  # both shards ran, at one BLAS thread
     assert training.blas_threads() == before
 
@@ -517,7 +515,7 @@ def test_sharded_training_grows_the_eval_workspace_before_its_first_step(two_cor
     grow, step = training._grow_workspace, training.backward_batch
     monkeypatch.setattr(training, "_grow_workspace", lambda *args: calls.append("grow") or grow(*args))
     monkeypatch.setattr(training, "backward_batch", lambda *args: calls.append("step") or step(*args))
-    train(net, data, TrainSettings(epochs=1, batch_size=4, lr=1e-3), np.random.default_rng(0), test_data=data)
+    train(net, data, np.random.default_rng(0), epochs=1, batch_size=4, lr=1e-3, test_data=data)
     assert calls[0] == "grow" and "step" in calls
     assert training._GROWN[net] == 8
 
