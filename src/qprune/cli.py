@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
     result = harness.run_experiment(config)
     paths = harness.emit_results(result, config.out_dir)
     for t in result.trials:
-        status = f"FAILED: {t.error}" if t.failed else f"{len(t.rounds)} sparsity levels"
+        status = f"FAILED after {len(t.rounds)} levels: {t.error}" if t.failed else f"{len(t.rounds)} sparsity levels"
         print(f"trial seed={t.seed}: {status} ({t.wall_seconds:.1f}s)")
     for sparsity, mean, std, n, rel in result.sweep_stats:
         print(f"sparsity {sparsity:.4f} (real-relative {rel:.4f}): "

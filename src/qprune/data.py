@@ -186,11 +186,8 @@ def split_train_validation(train: Dataset, validation_size: int, seed: int) -> t
     become the validation set."""
     k = validation_size
     n = len(train)
-    if k >= n:
-        raise ValueError(f"validation size {k} must be smaller than the training set ({n})")
-    if k == 0:
-        empty = Dataset(train.images[:0], train.labels[:0], train.num_classes)
-        return train, empty
+    if not 1 <= k < n:
+        raise ValueError(f"validation size {k} must be at least 1 and smaller than the training set ({n})")
     perm = np.random.default_rng(seed).permutation(n)
     tr, va = perm[: n - k], perm[n - k :]
     return (

@@ -310,7 +310,8 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
     """Write training_curve.csv, sparsity_sweep.csv, and manifest.json.
 
     Column order and headers are stable; identical experiments produce
-    byte-identical CSVs.
+    byte-identical CSVs.  Failed trials are left out of the CSVs, and the
+    manifest gives each one's seed, error and finished levels.
     """
     os.makedirs(directory, exist_ok=True)
     fld = result.config.field
@@ -335,7 +336,8 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
         "config": asdict(result.config),
         "seeds": result.seeds,
         "trials_failed": result.failures,
-        "trial_errors": [t.error for t in result.trials if t.failed],
+        "trial_errors": [{"seed": t.seed, "error": t.error, "levels": [asdict(r) for r in t.rounds]}
+                         for t in result.trials if t.failed],
         "wall_seconds": result.wall_seconds,
         "version": __version__,
         "environment": _environment(result),

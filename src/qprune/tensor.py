@@ -18,10 +18,14 @@ use one slot at the same time: only the shard threads of a sharded
 evaluation enter the slots, one per slot, while its caller holds the
 training module's shard lock.  Everywhere else (under a tape, and in
 serial inference) every array is fresh, and an op's output always is.
+The slot buffers are anonymous memory mappings, not heap blocks, so a slot
+may grow at any time, on first use or for a longer shard, without moving
+the malloc heap's top or leaving a hole in it.
 """
 
 from __future__ import annotations
 
+import mmap
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
@@ -152,14 +156,16 @@ def _lent() -> Optional[dict[int, np.ndarray]]:
 def _scratch(index: int, shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialised array that an op uses only until it returns: in
     inference mode inside ``_inference_workspace``, a view of the slot's
-    buffer ``index`` (grown on demand; ops share the buffers, one op takes
-    each index once); otherwise fresh, so that a tape may keep it."""
+    buffer ``index`` (ops share the buffers, one op takes each index once);
+    otherwise fresh, so that a tape may keep it.  A buffer too short for
+    ``shape`` is replaced by a new anonymous mapping (at least one byte, as
+    mmap needs), which leaves the malloc heap as it was."""
     workspace = _lent()
     if workspace is None:
         return np.empty(shape, dtype)
     nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
     if index not in workspace or workspace[index].size < nbytes:
-        workspace[index] = np.empty(nbytes, np.uint8)
+        workspace[index] = np.frombuffer(mmap.mmap(-1, max(nbytes, 1)), np.uint8)
     return workspace[index][:nbytes].view(dtype).reshape(shape)
 
 

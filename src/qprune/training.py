@@ -7,7 +7,6 @@ import ctypes
 import functools
 import os
 import threading
-import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import product
@@ -27,7 +26,7 @@ EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
 # evaluation stay on the resident heap: the largest, conv2d's
 # [F, N·(H+2)·(W+2)] buffer, is 1.13x the widest activation at 32x32.  A
 # sharded evaluation splits each batch over the cores, and each shard keeps
-# that buffer in its inference workspace slot.
+# that buffer in its inference workspace slot, mapped outside the heap.
 EVAL_BATCH_BYTES = 16 * 1024 * 1024
 # Per-image bytes of the widest activation from which training batches are split
 # over the cores: a conv net at 32x32 has 256 KiB, a LeNet at most 3.1 KiB.
@@ -60,8 +59,6 @@ def blas_threads() -> Optional[int]:
 
 _SHARD_POOL = ThreadPoolExecutor(thread_name_prefix="qprune-shard")
 _SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the cores
-# Per network, the longest batch its evaluation shards grew the workspace to.
-_GROWN: "weakref.WeakKeyDictionary[Network, int]" = weakref.WeakKeyDictionary()
 
 
 def shard_count(net: Network) -> int:
@@ -184,26 +181,11 @@ def inference_logits(net: Network, images: np.ndarray, shards: int) -> np.ndarra
     return np.concatenate(_on_shards(_shard_logits, calls))
 
 
-def _grow_workspace(net: Network, data: Dataset, shards: int) -> None:
-    """Run one throw-away batch of zeros, as long as the longest evaluation
-    batch of ``data``, through ``net``'s evaluation shards, unless one as long
-    ran before.  The workspace slots then reach their full size before the
-    shards' other arrays are laid out around them: slots grown in the middle
-    of an evaluation left the heap a conv output short for some later
-    interleavings of the shards' allocations, which then faulted it in."""
-    size = min(eval_batch_size(net), len(data))
-    if _GROWN.get(net, 0) < size:
-        _GROWN[net] = size
-        inference_logits(net, np.zeros((size, *data.images.shape[1:]), net.dtype), shards)
-
-
 def _batch_logits(net: Network, data: Dataset) -> Iterator[tuple[Tensor, np.ndarray]]:
     """Inference-mode logits and labels of ``data``, one batch at a time, in
     ceil(n / ``eval_batch_size``) batches that differ in length by at most
     one image, each split over ``shard_count(net)`` shards."""
     shards = shard_count(net)
-    if shards > 1:
-        _grow_workspace(net, data, shards)
     for batch in _spans(len(data), -(-len(data) // eval_batch_size(net))):
         yield Tensor(inference_logits(net, data.images[batch], shards)), data.labels[batch]
 
@@ -250,8 +232,6 @@ def train(
     opt = Adam(net.parameters(), lr=lr)
     shards = shard_count(net)
     replicas = [replica(net) for _ in range(shards)] if shards > 1 else []
-    if replicas:  # before the steps lay out the heap
-        _grow_workspace(net, data, shards)
     mask_arrays = mask.arrays if mask is not None else None
     monitor = EarlyStopMonitor(patience) if patience is not None else None
     best_state: Optional[dict[str, np.ndarray]] = None

@@ -1,5 +1,8 @@
+import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import qprune.training as training
 from qprune.data import Dataset
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DATA_ENV = "QPRUNE_DATA"
 _DATA_CANDIDATES = (
     os.path.join(os.path.dirname(__file__), "..", "data"),
@@ -21,6 +25,17 @@ def find_data_dir() -> str | None:
         if cand and os.path.isdir(os.path.join(cand, "mnist")):
             return os.path.abspath(cand)
     return None
+
+
+def run_child(script: str, *args, timeout: float):
+    """Run ``script`` in a fresh interpreter that imports qprune from this
+    checkout's ``src``; returns the JSON its stdout holds."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=timeout, check=True,
+    )
+    return json.loads(probe.stdout)
 
 
 @pytest.fixture(scope="session")

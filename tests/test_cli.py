@@ -209,7 +209,9 @@ def test_all_trials_failing_exits_3(tmp_path, capsys):
         "--trials", "1", "--epochs", "1", "--rounds", "1", "--lr", "1e30",
     ])
     assert rc == 3
-    assert "failed" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "trial seed=0: FAILED after 0 levels: NumericalError" in out
+    assert "failed" in err
 
 
 def test_early_stop_flag_parses(tmp_path):

@@ -235,13 +235,6 @@ def make_dataset(n, seed=0):
     return Dataset(rng.random((n, 1, 4, 4), dtype=np.float32), (np.arange(n) % 10).astype(np.int64), 10)
 
 
-def test_split_size_zero_is_identity():
-    ds = make_dataset(20)
-    train, val = split_train_validation(ds, 0, seed=1)
-    assert len(val) == 0
-    np.testing.assert_array_equal(train.images, ds.images)
-
-
 def test_split_5000_is_disjoint(tmp_path):
     ds = make_dataset(60)
     train, val = split_train_validation(ds, 15, seed=2)
@@ -259,9 +252,10 @@ def test_split_same_seed_identical():
     np.testing.assert_array_equal(a_val.labels, b_val.labels)
 
 
-def test_split_too_large_rejected():
+@pytest.mark.parametrize("size", [10, 0])
+def test_split_size_out_of_range_rejected(size):
     with pytest.raises(ValueError):
-        split_train_validation(make_dataset(10), 10, seed=0)
+        split_train_validation(make_dataset(10), size, seed=0)
 
 
 def test_loading_twice_is_bit_identical(tmp_path):

@@ -3,7 +3,6 @@ import ctypes
 import json
 import os
 import platform
-import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -12,7 +11,7 @@ import pytest
 
 import qprune.harness as harness
 import qprune.training as training
-from conftest import make_cifar10_files, synthetic_dataset
+from conftest import make_cifar10_files, run_child, synthetic_dataset
 from qprune.errors import ConfigError, NumericalError
 from qprune.harness import (
     AggregateResult,
@@ -22,6 +21,7 @@ from qprune.harness import (
     run_experiment,
     run_trial,
 )
+from qprune.pruning import RoundResult
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -224,7 +224,8 @@ def test_failed_trial_reported_with_partial_results(tmp_path):
     emit_results(agg, str(tmp_path))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["trials_failed"] == 2
-    assert len(manifest["trial_errors"]) == 2
+    assert [(e["seed"], e["levels"]) for e in manifest["trial_errors"]] == [(0, []), (1, [])]
+    assert all("non-finite" in e["error"] for e in manifest["trial_errors"])
 
 
 def fail_third_train_call(monkeypatch):
@@ -255,6 +256,9 @@ def test_failed_trial_keeps_its_finished_levels(tmp_path, monkeypatch):
     agg = _aggregate_with_data(tiny_config(trials=2, rounds=3), ds)
     assert agg.failures == 1 and len(agg.trials[0].rounds) == 2 and not agg.trials[1].failed
     emit_results(agg, str(tmp_path / "one_failed"))
+    [error] = json.loads((tmp_path / "one_failed" / "manifest.json").read_text())["trial_errors"]
+    assert error["seed"] == 0 and "injected" in error["error"]
+    assert [RoundResult(**level) for level in error["levels"]] == clean.rounds[:2]
     monkeypatch.undo()
     emit_results(_aggregate_with_data(tiny_config(trials=1, rounds=3, base_seed=1), ds), str(tmp_path / "clean"))
     assert csv_bytes(tmp_path / "one_failed") == csv_bytes(tmp_path / "clean")
@@ -442,11 +446,6 @@ print(faults)
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc's mallopt")
 def test_freed_arrays_stay_resident_after_heap_policy():
     # the policy is process-wide, so it is measured in a child process
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    probe = subprocess.run(
-        [sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    faults = json.loads(probe.stdout)
+    faults = run_child(_FAULT_PROBE, timeout=60)
     assert faults[0] > 0  # round 1 maps the heap
     assert faults[1:] == [0, 0, 0, 0]

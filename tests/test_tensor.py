@@ -1,5 +1,6 @@
 import itertools
 import math
+import platform
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ops
+from conftest import run_child
 from qprune import tensor as T
 from qprune.errors import DimensionError, StateError
 from qprune.tensor import Tape, Tensor
@@ -281,6 +283,38 @@ def test_inference_outputs_in_a_workspace_slot_are_fresh():
         np.testing.assert_array_equal(out.data, before)
         assert not any(np.shares_memory(out.data, buf) for buf in T._SLOTS[0].values())
     np.testing.assert_allclose(kept[0], conv2d_reference(x1.data, k.data) + b.data[:, None, None], rtol=1e-12)
+
+
+_SLOT_HEAP_PROBE = """
+import ctypes
+import json
+import numpy as np
+import qprune.tensor as T
+from qprune.harness import keep_heap_resident
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
+assert keep_heap_resident()
+with T._inference_workspace(0):
+    T._scratch(0, (2**20,), np.uint8)[:] = 1
+    before = mallinfo2().arena
+    T._scratch(0, (17 * 2**20,), np.uint8)[:] = 1
+    print(json.dumps({"before": before, "after": mallinfo2().arena}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or tuple(map(int, platform.libc_ver()[1].split("."))) < (2, 33),
+                    reason="mallinfo2 is glibc's, from 2.33")
+def test_growing_a_slot_buffer_leaves_the_malloc_heap_as_it_was():
+    # Under the heap policy a 16 MiB block would come from the heap, whose
+    # size the policy never gives back; a slot's buffers are mapped instead.
+    # The policy is process-wide, so it is measured in a child process.
+    arena = run_child(_SLOT_HEAP_PROBE, timeout=60)
+    assert arena["after"] == arena["before"], arena
 
 
 def test_conv2d_bias_matches_reference_plus_bias():
