@@ -78,45 +78,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify() -> int:
-    from .verify import (
-        HAMILTON_PAIRS,
-        exact_count_report,
-        gradient_check_all,
-        hamilton_matrix_max_error,
-        parameter_count_report,
-        quat_layer_max_error,
-        shard_gradient_max_error,
-        shard_logits_max_error,
-    )
+    from .verify import checks
 
     failed = False
-
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failed
+    for name, ok, detail in checks():
         failed |= not ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-
-    err = hamilton_matrix_max_error()
-    report("hamilton-vs-matrix", err < 1e-6, f"max abs error {err:.3e} over {HAMILTON_PAIRS} pairs")
-
-    for name, err in quat_layer_max_error().items():
-        report(f"layer-oracle/{name}", err < 1e-5, f"rel error {err:.3e}")
-
-    for name, err in gradient_check_all().items():
-        report(f"gradients/{name}", err < 1e-5, f"rel error {err:.3e}")
-
-    err = shard_gradient_max_error()
-    report("sharded-gradients", err < 1e-12, f"rel error {err:.3e} over 2 and 3 shards vs one batch")
-
-    err = shard_logits_max_error()
-    report("sharded-eval", err < 1e-12, f"rel error {err:.3e} of logits over 2 and 3 shards vs one batch")
-
-    for label, computed, expected in exact_count_report():
-        report(f"param-count-exact/{label}", computed == expected, f"{computed} vs {expected}")
-
-    for label, computed, printed, dev in parameter_count_report():
-        report(f"param-count-table/{label}", dev <= 0.02, f"{computed} vs {printed} ({dev:.2%})")
-
     return 3 if failed else 0
 
 

@@ -168,17 +168,12 @@ def load_cifar(directory: str, variant: int) -> tuple[Dataset, Dataset]:
 
 
 def add_grayscale_channel(img: np.ndarray) -> np.ndarray:
-    """Append a luma channel (0.299 R + 0.587 G + 0.114 B) to RGB images.
-
-    Accepts [3,H,W] or a batch [N,3,H,W]; original channels are untouched.
-    """
-    batched = img.ndim == 4
-    if (img.ndim not in (3, 4)) or img.shape[-3] != 3:
-        raise DimensionError(f"expected 3 channels in shape [...,3,H,W], got {img.shape}")
-    x = img if batched else img[None]
-    gray = LUMA_R * x[:, 0] + LUMA_G * x[:, 1] + LUMA_B * x[:, 2]
-    out = np.concatenate([x, gray[:, None].astype(x.dtype)], axis=1)
-    return out if batched else out[0]
+    """Append a luma channel (0.299 R + 0.587 G + 0.114 B) to a batch of RGB
+    images [N,3,H,W]; the original channels are untouched."""
+    if img.ndim != 4 or img.shape[1] != 3:
+        raise DimensionError(f"expected RGB images [N,3,H,W], got shape {img.shape}")
+    gray = LUMA_R * img[:, 0] + LUMA_G * img[:, 1] + LUMA_B * img[:, 2]
+    return np.concatenate([img, gray[:, None].astype(img.dtype)], axis=1)
 
 
 def split_train_validation(train: Dataset, validation_size: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -179,7 +179,7 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     if config.dataset == "mnist":
         train_set, test_set = load_mnist(config.data_dir)
     else:
-        train_set, test_set = load_cifar(config.data_dir, 10 if config.dataset == "cifar10" else 100)
+        train_set, test_set = load_cifar(config.data_dir, config.spec().classes)
     if config.train_subset > len(train_set):
         raise ConfigError(
             f"train subset {config.train_subset} exceeds the {len(train_set)} images of the training split"

@@ -77,32 +77,39 @@ class Conv2d(Layer):
         return T.conv2d(x, self.k, b=self.b)
 
 
-class QuatLinear(Layer):
+class _QuatLayer(Layer):
+    """A quaternion weight kept as four real parts, ``{prefix}_r``,
+    ``{prefix}_x``, ``{prefix}_y`` and ``{prefix}_z``, drawn in that order,
+    plus a real bias over the 4*out_q output components."""
+
+    prefix: str
+
+    def __init__(self, in_q: int, out_q: int, shape: tuple, bound: float, rng: np.random.Generator, dtype):
+        self.in_q = in_q
+        for part in "rxyz":
+            setattr(self, f"{self.prefix}_{part}", _uniform(rng, bound, shape, dtype))
+        self.b = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True)
+
+    def parts(self) -> list[Tensor]:
+        return [getattr(self, f"{self.prefix}_{part}") for part in "rxyz"]
+
+    def params(self):
+        weights = [(f"{self.prefix}_{part}", t, True) for part, t in zip("rxyz", self.parts())]
+        return weights + [("b", self.b, False)]
+
+
+class QuatLinear(_QuatLayer):
     """Fully-connected quaternion layer: in_q -> out_q quaternion neurons.
 
     4 * in_q * out_q weight scalars, one quaternion weight per in/out pair.
-    The bias is a plain real vector over the 4*out_q output components.
     Below in_q rows the four parts multiply the input directly; from in_q
     rows on one Hamilton block does (``tensor.quat_linear``).
     """
 
-    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q = in_q
-        bound = 1.0 / np.sqrt(4 * in_q)
-        self.w_r = _uniform(rng, bound, (in_q, out_q), dtype)
-        self.w_x = _uniform(rng, bound, (in_q, out_q), dtype)
-        self.w_y = _uniform(rng, bound, (in_q, out_q), dtype)
-        self.w_z = _uniform(rng, bound, (in_q, out_q), dtype)
-        self.b = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True)
+    prefix = "w"
 
-    def params(self):
-        return [
-            ("w_r", self.w_r, True),
-            ("w_x", self.w_x, True),
-            ("w_y", self.w_y, True),
-            ("w_z", self.w_z, True),
-            ("b", self.b, False),
-        ]
+    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
+        super().__init__(in_q, out_q, (in_q, out_q), 1.0 / np.sqrt(4 * in_q), rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != 4 * self.in_q:
@@ -110,30 +117,16 @@ class QuatLinear(Layer):
                 f"quaternion linear fan-in {self.in_q} quaternions "
                 f"({4 * self.in_q} components), got input width {x.shape[1]}"
             )
-        return T.quat_linear(x, [self.w_r, self.w_x, self.w_y, self.w_z], b=self.b)
+        return T.quat_linear(x, self.parts(), b=self.b)
 
 
-class QuatConv2d(Layer):
+class QuatConv2d(_QuatLayer):
     """3x3 quaternion convolution over component-plane feature maps."""
 
-    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_q = in_q
-        bound = 1.0 / np.sqrt(4 * in_q * 9)
-        shape = (out_q, in_q, 3, 3)
-        self.k_r = _uniform(rng, bound, shape, dtype)
-        self.k_x = _uniform(rng, bound, shape, dtype)
-        self.k_y = _uniform(rng, bound, shape, dtype)
-        self.k_z = _uniform(rng, bound, shape, dtype)
-        self.b = Tensor(np.zeros(4 * out_q, dtype=dtype), requires_grad=True)
+    prefix = "k"
 
-    def params(self):
-        return [
-            ("k_r", self.k_r, True),
-            ("k_x", self.k_x, True),
-            ("k_y", self.k_y, True),
-            ("k_z", self.k_z, True),
-            ("b", self.b, False),
-        ]
+    def __init__(self, in_q: int, out_q: int, rng: np.random.Generator, dtype=np.float32):
+        super().__init__(in_q, out_q, (out_q, in_q, 3, 3), 1.0 / np.sqrt(4 * in_q * 9), rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != 4 * self.in_q:
@@ -141,7 +134,7 @@ class QuatConv2d(Layer):
                 f"quaternion conv expects {self.in_q} quaternion channels "
                 f"({4 * self.in_q} planes), got {x.shape[1]}"
             )
-        kernel = T.hamilton_block([self.k_r, self.k_x, self.k_y, self.k_z], out_axis=0)  # [4*out_q, 4*in_q, 3, 3]
+        kernel = T.hamilton_block(self.parts(), out_axis=0)  # [4*out_q, 4*in_q, 3, 3]
         return T.conv2d(x, kernel, b=self.b)
 
 

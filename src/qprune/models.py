@@ -1,16 +1,7 @@
 """Model descriptors and network builders.
 
-Five classifier families, each in a real and a quaternion variant:
-
-========= ========== =============================== ============== ===========
-name      datasets   conv plan                       fc plan        epochs/batch/lr
-========= ========== =============================== ============== ===========
-lenet300  mnist      --                              300, 100       40/60/1.2e-3
-lenet12   mnist      --                              12             40/60/1.2e-3
-conv2     cifar10    64, 64, pool                    256, 256       40/60/2e-4
-conv4     cifar10/100  64,64,pool,128,128,pool       256, 256       40/60/3e-4
-conv6     cifar10/100  +256,256,pool                 256, 256       60/60/3e-4
-========= ========== =============================== ============== ===========
+Five classifier families, each in a real and a quaternion variant; ``_MODELS``
+holds each one's datasets, layer plans and training defaults.
 
 Quaternion variants keep the same number of real neurons: every hidden layer
 becomes a quaternion layer at one quarter of the width, and the output layer
@@ -42,46 +33,26 @@ from .layers import (
 from .tensor import Tensor
 
 POOL = "pool"
-
-MODEL_NAMES = ("lenet300", "lenet12", "conv2", "conv4", "conv6")
-DATASET_NAMES = ("mnist", "cifar10", "cifar100")
 FIELDS = ("real", "quat")
 
-_CONV_PLANS = {
-    "lenet300": (),
-    "lenet12": (),
-    "conv2": (64, 64, POOL),
-    "conv4": (64, 64, POOL, 128, 128, POOL),
-    "conv6": (64, 64, POOL, 128, 128, POOL, 256, 256, POOL),
+_CONV4 = (64, 64, POOL, 128, 128, POOL)
+# name: (allowed datasets, conv plan, fc plan, (epochs, batch size, adam learning rate))
+_MODELS = {
+    "lenet300": (("mnist",), (), (300, 100), (40, 60, 1.2e-3)),
+    "lenet12": (("mnist",), (), (12,), (40, 60, 1.2e-3)),
+    "conv2": (("cifar10",), (64, 64, POOL), (256, 256), (40, 60, 2e-4)),
+    "conv4": (("cifar10", "cifar100"), _CONV4, (256, 256), (40, 60, 3e-4)),
+    "conv6": (("cifar10", "cifar100"), _CONV4 + (256, 256, POOL), (256, 256), (60, 60, 3e-4)),
 }
-_FC_PLANS = {
-    "lenet300": (300, 100),
-    "lenet12": (12,),
-    "conv2": (256, 256),
-    "conv4": (256, 256),
-    "conv6": (256, 256),
+# name: (input shape [C,H,W], class count)
+_DATASETS = {
+    "mnist": ((1, 28, 28), 10),
+    "cifar10": ((3, 32, 32), 10),
+    "cifar100": ((3, 32, 32), 100),
 }
-ALLOWED_DATASETS = {
-    "lenet300": ("mnist",),
-    "lenet12": ("mnist",),
-    "conv2": ("cifar10",),
-    "conv4": ("cifar10", "cifar100"),
-    "conv6": ("cifar10", "cifar100"),
-}
-# (epochs, batch size, adam learning rate)
-_TRAIN_DEFAULTS = {
-    "lenet300": (40, 60, 1.2e-3),
-    "lenet12": (40, 60, 1.2e-3),
-    "conv2": (40, 60, 2e-4),
-    "conv4": (40, 60, 3e-4),
-    "conv6": (60, 60, 3e-4),
-}
-_DATASET_SHAPES = {
-    "mnist": (1, 28, 28),
-    "cifar10": (3, 32, 32),
-    "cifar100": (3, 32, 32),
-}
-_DATASET_CLASSES = {"mnist": 10, "cifar10": 10, "cifar100": 100}
+MODEL_NAMES = tuple(_MODELS)
+DATASET_NAMES = tuple(_DATASETS)
+ALLOWED_DATASETS = {name: row[0] for name, row in _MODELS.items()}
 
 
 @dataclass(frozen=True)
@@ -98,7 +69,7 @@ class ModelSpec:
 
     @property
     def input_shape(self) -> tuple[int, int, int]:
-        return _DATASET_SHAPES[self.dataset]
+        return _DATASETS[self.dataset][0]
 
 
 def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
@@ -113,17 +84,10 @@ def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
         raise ConfigError(
             f"model {name!r} is defined for datasets {ALLOWED_DATASETS[name]}, not {dataset!r}"
         )
-    epochs, batch, lr = _TRAIN_DEFAULTS[name]
+    _, conv_plan, fc_plan, (epochs, batch, lr) = _MODELS[name]
     return ModelSpec(
-        name=name,
-        dataset=dataset,
-        field=field,
-        conv_plan=_CONV_PLANS[name],
-        fc_plan=_FC_PLANS[name],
-        classes=_DATASET_CLASSES[dataset],
-        epochs=epochs,
-        batch_size=batch,
-        lr=lr,
+        name=name, dataset=dataset, field=field, conv_plan=conv_plan, fc_plan=fc_plan,
+        classes=_DATASETS[dataset][1], epochs=epochs, batch_size=batch, lr=lr,
     )
 
 

@@ -42,13 +42,6 @@ class Mask:
 
 
 @dataclass
-class Snapshot:
-    """Copy of every parameter tensor at initialization (theta_0)."""
-
-    arrays: dict[str, np.ndarray]
-
-
-@dataclass
 class RoundResult:
     sparsity: float
     accuracy: float
@@ -59,8 +52,9 @@ def full_mask(net: Network) -> Mask:
     return Mask({p.name: np.ones(p.tensor.shape, dtype=np.uint8) for p in net.prunable_parameters()})
 
 
-def capture_snapshot(net: Network) -> Snapshot:
-    return Snapshot({p.name: p.tensor.data.copy() for p in net.parameters()})
+def capture_snapshot(net: Network) -> dict[str, np.ndarray]:
+    """Copy of every parameter tensor at initialization (theta_0), by name."""
+    return {p.name: p.tensor.data.copy() for p in net.parameters()}
 
 
 def sparsity(mask: Mask) -> float:
@@ -121,14 +115,14 @@ def global_magnitude_prune(net: Network, mask: Mask, rate: float) -> Mask:
     return new
 
 
-def rewind(net: Network, snapshot: Snapshot, mask: Mask) -> Network:
+def rewind(net: Network, snapshot: dict[str, np.ndarray], mask: Mask) -> Network:
     """Reset kept weights (and all biases) to theta_0; pruned entries to 0."""
     _check_mask(net, mask)
     names = {p.name for p in net.parameters()}
-    if set(snapshot.arrays) != names:
+    if set(snapshot) != names:
         raise StateError("snapshot does not cover the network's parameter registry")
     for p in net.parameters():
-        saved = snapshot.arrays[p.name]
+        saved = snapshot[p.name]
         if saved.shape != p.tensor.shape:
             raise StateError(
                 f"snapshot entry {p.name} has shape {saved.shape}, parameter has {p.tensor.shape}"

@@ -2,19 +2,20 @@
 
 Everything here deliberately avoids the production code paths it checks:
 the quaternion-layer oracles run scalar Hamilton products in Python loops,
-and gradients are checked against central finite differences.  Shared by
-the ``verify`` CLI subcommand and the acceptance suite.
+and gradients are checked against central finite differences.  ``checks``
+runs them all against their bounds for the ``verify`` CLI subcommand; the
+acceptance suite calls them one by one.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import tensor as T
 from .layers import Conv2d, Flatten, Linear, MaxPool2d, Param, QuatConv2d, QuatLinear, ReLU
-from .models import Network, build_network, count_parameters, model_spec
+from .models import ALLOWED_DATASETS, Network, build_network, count_parameters, model_spec
 from .quaternion import Quaternion, as_matrix, hamilton
 from .tensor import Tape, Tensor
 from .training import backward_batch, inference_logits, replica
@@ -261,8 +262,6 @@ EXACT_COUNTS = {
     ("conv6", "real", True): 1_144_512,
 }
 
-_DATASET_FOR = {"lenet300": "mnist", "conv2": "cifar10", "conv4": "cifar10", "conv6": "cifar10"}
-
 
 def conv_kernels(net: Network) -> list[Param]:
     """The conv kernels: the network's prunable 4-D tensors."""
@@ -271,7 +270,7 @@ def conv_kernels(net: Network) -> list[Param]:
 
 def _count_rows(table: dict) -> list[tuple[str, int, int]]:
     """(label, computed, table value) per entry, one network per (model, field)."""
-    nets = {(m, f): build_network(model_spec(m, _DATASET_FOR[m], f), seed=0) for m, f, _ in table}
+    nets = {(m, f): build_network(model_spec(m, ALLOWED_DATASETS[m][0], f), seed=0) for m, f, _ in table}
     rows = []
     for (m, f, conv), value in sorted(table.items()):
         params = conv_kernels(nets[m, f]) if conv else nets[m, f].parameters()
@@ -290,3 +289,31 @@ def parameter_count_report() -> list[tuple[str, int, int, float]]:
 def exact_count_report() -> list[tuple[str, int, int]]:
     """(label, computed, exact) per closed-form entry."""
     return _count_rows(EXACT_COUNTS)
+
+
+# ---------------------------------------------------------------------------
+# every self-check against its bound
+
+
+def checks() -> Iterator[tuple[str, bool, str]]:
+    """Yield ``(name, passed, detail)`` for every self-check, in a fixed order."""
+    err = hamilton_matrix_max_error()
+    yield "hamilton-vs-matrix", err < 1e-6, f"max abs error {err:.3e} over {HAMILTON_PAIRS} pairs"
+
+    for name, err in quat_layer_max_error().items():
+        yield f"layer-oracle/{name}", err < 1e-5, f"rel error {err:.3e}"
+
+    for name, err in gradient_check_all().items():
+        yield f"gradients/{name}", err < 1e-5, f"rel error {err:.3e}"
+
+    err = shard_gradient_max_error()
+    yield "sharded-gradients", err < 1e-12, f"rel error {err:.3e} over 2 and 3 shards vs one batch"
+
+    err = shard_logits_max_error()
+    yield "sharded-eval", err < 1e-12, f"rel error {err:.3e} of logits over 2 and 3 shards vs one batch"
+
+    for label, computed, expected in exact_count_report():
+        yield f"param-count-exact/{label}", computed == expected, f"{computed} vs {expected}"
+
+    for label, computed, printed, dev in parameter_count_report():
+        yield f"param-count-table/{label}", dev <= 0.02, f"{computed} vs {printed} ({dev:.2%})"

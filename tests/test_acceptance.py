@@ -140,7 +140,7 @@ def test_criterion_5_pruning_arithmetic():
         p.tensor.data += 0.5  # training drift to be erased
     rewind(net, snapshot, mask)
     rewind_ok = all(
-        np.array_equal(p.tensor.data, snapshot.arrays[p.name] * mask.arrays[p.name])
+        np.array_equal(p.tensor.data, snapshot[p.name] * mask.arrays[p.name])
         for p in net.prunable_parameters()
     )
     elapsed = time.time() - t0

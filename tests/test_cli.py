@@ -237,3 +237,16 @@ def test_verify_subcommand_passes(capsys):
         assert f"PASS {check}/qlinear/direct" in out and f"PASS {check}/qlinear/block" in out
     assert "FAIL" not in out
     assert "param-count-table" in out
+
+
+def test_verify_reports_a_failing_check_and_exits_3(capsys, monkeypatch):
+    from qprune import verify
+
+    monkeypatch.setattr(verify, "shard_logits_max_error", lambda: 1.0)
+    rc = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == ["FAIL sharded-eval: rel error 1.000e+00 of logits over 2 and 3 shards vs one batch"]
+    assert len(lines) == 31
+    assert all(line.startswith("PASS ") for line in lines if line not in failed)

@@ -185,23 +185,23 @@ def test_cifar_nested_directory_convention(tmp_path):
 
 
 def test_grayscale_of_gray_pixel_is_itself():
-    img = np.full((3, 2, 2), 0.42, dtype=np.float32)
+    img = np.full((1, 3, 2, 2), 0.42, dtype=np.float32)
     out = add_grayscale_channel(img)
-    np.testing.assert_allclose(out[3], np.full((2, 2), 0.42), rtol=1e-6)
+    np.testing.assert_allclose(out[0, 3], np.full((2, 2), 0.42), rtol=1e-6)
 
 
 def test_grayscale_of_pure_red():
-    img = np.zeros((3, 1, 1), dtype=np.float64)
-    img[0, 0, 0] = 0.8
+    img = np.zeros((1, 3, 1, 1), dtype=np.float64)
+    img[0, 0, 0, 0] = 0.8
     out = add_grayscale_channel(img)
-    assert out[3, 0, 0] == pytest.approx(0.299 * 0.8)
+    assert out[0, 3, 0, 0] == pytest.approx(0.299 * 0.8)
 
 
 def test_grayscale_keeps_original_channels():
     rng = np.random.default_rng(1)
-    img = rng.random((3, 4, 4))
+    img = rng.random((1, 3, 4, 4))
     out = add_grayscale_channel(img)
-    np.testing.assert_array_equal(out[:3], img)
+    np.testing.assert_array_equal(out[:, :3], img)
 
 
 def test_grayscale_batched():
@@ -214,14 +214,14 @@ def test_grayscale_batched():
 
 def test_grayscale_wrong_channel_count():
     with pytest.raises(DimensionError):
-        add_grayscale_channel(np.zeros((4, 2, 2)))
+        add_grayscale_channel(np.zeros((1, 4, 2, 2)))
 
 
 @settings(max_examples=200)
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=3, max_size=3))
 def test_grayscale_is_convex_combination(rgb):
-    img = np.array(rgb).reshape(3, 1, 1)
-    gray = add_grayscale_channel(img)[3, 0, 0]
+    img = np.array(rgb).reshape(1, 3, 1, 1)
+    gray = add_grayscale_channel(img)[0, 3, 0, 0]
     assert min(rgb) - 1e-9 <= gray <= max(rgb) + 1e-9
     assert 0.0 <= gray <= 1.0 + 1e-12
 

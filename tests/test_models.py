@@ -5,6 +5,8 @@ from qprune import tensor as T
 from qprune.errors import ConfigError
 from qprune.layers import Conv2d, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import (
+    ALLOWED_DATASETS,
+    MODEL_NAMES,
     POOL,
     ModelSpec,
     Network,
@@ -134,6 +136,33 @@ def test_table_defaults():
     assert model_spec("conv4", "cifar100", "real").classes == 100
     spec6 = model_spec("conv6", "cifar10", "real")
     assert (spec6.epochs, spec6.batch_size, spec6.lr) == (60, 60, pytest.approx(3e-4))
+
+
+# Every allowed (model, dataset) pair, written out by hand: conv plan, fc plan,
+# classes, input shape, epochs, batch size and learning rate.
+_PINNED_SPECS = {
+    ("lenet300", "mnist"): ((), (300, 100), 10, (1, 28, 28), 40, 60, 1.2e-3),
+    ("lenet12", "mnist"): ((), (12,), 10, (1, 28, 28), 40, 60, 1.2e-3),
+    ("conv2", "cifar10"): ((64, 64, POOL), (256, 256), 10, (3, 32, 32), 40, 60, 2e-4),
+    ("conv4", "cifar10"): ((64, 64, POOL, 128, 128, POOL), (256, 256), 10, (3, 32, 32), 40, 60, 3e-4),
+    ("conv4", "cifar100"): ((64, 64, POOL, 128, 128, POOL), (256, 256), 100, (3, 32, 32), 40, 60, 3e-4),
+    ("conv6", "cifar10"): ((64, 64, POOL, 128, 128, POOL, 256, 256, POOL), (256, 256), 10, (3, 32, 32), 60, 60, 3e-4),
+    ("conv6", "cifar100"): ((64, 64, POOL, 128, 128, POOL, 256, 256, POOL), (256, 256), 100, (3, 32, 32), 60, 60, 3e-4),
+}
+
+
+@pytest.mark.parametrize("field", ["real", "quat"])
+@pytest.mark.parametrize("name, dataset", sorted(_PINNED_SPECS))
+def test_model_spec_matches_the_pinned_table(name, dataset, field):
+    conv_plan, fc_plan, classes, shape, epochs, batch, lr = _PINNED_SPECS[name, dataset]
+    spec = model_spec(name, dataset, field)
+    assert spec == ModelSpec(name, dataset, field, conv_plan, fc_plan, classes, epochs, batch, lr)
+    assert spec.input_shape == shape
+
+
+def test_pinned_table_covers_every_allowed_pair():
+    allowed = {(m, d) for m in MODEL_NAMES for d in ALLOWED_DATASETS[m]}
+    assert allowed == set(_PINNED_SPECS)
 
 
 def test_forward_shapes_all_models_tiny_batch():

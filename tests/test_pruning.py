@@ -154,7 +154,7 @@ def test_rewind_full_mask_restores_theta0_exactly():
         p.tensor.data += 1.0
     rewind(net, snap, full_mask(net))
     for p in net.parameters():
-        np.testing.assert_array_equal(p.tensor.data, snap.arrays[p.name])
+        np.testing.assert_array_equal(p.tensor.data, snap[p.name])
 
 
 def test_rewind_empty_mask_zeroes_weights_keeps_biases():
@@ -172,7 +172,7 @@ def test_rewind_empty_mask_zeroes_weights_keeps_biases():
         if p.prunable:
             np.testing.assert_array_equal(p.tensor.data, np.zeros_like(p.tensor.data))
         else:
-            np.testing.assert_array_equal(p.tensor.data, snap.arrays[p.name])
+            np.testing.assert_array_equal(p.tensor.data, snap[p.name])
 
 
 def test_rewind_random_mask_is_elementwise_product():
@@ -186,7 +186,7 @@ def test_rewind_random_mask_is_elementwise_product():
         p.tensor.data -= 2.0
     rewind(net, snap, mask)
     for p in net.prunable_parameters():
-        np.testing.assert_array_equal(p.tensor.data, snap.arrays[p.name] * mask.arrays[p.name])
+        np.testing.assert_array_equal(p.tensor.data, snap[p.name] * mask.arrays[p.name])
 
 
 def test_rewind_is_idempotent():
@@ -220,7 +220,7 @@ def test_masked_adam_training_keeps_pruned_weights_at_zero():
     for p in net.prunable_parameters():
         pruned_positions = mask.arrays[p.name] == 0
         assert np.all(p.tensor.data[pruned_positions] == 0.0)  # bit-exact zero
-        assert np.any(p.tensor.data[~pruned_positions] != snap.arrays[p.name][~pruned_positions])
+        assert np.any(p.tensor.data[~pruned_positions] != snap[p.name][~pruned_positions])
 
 
 def test_always_failing_threshold_stops_after_two_prune_iterations():
