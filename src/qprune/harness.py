@@ -224,10 +224,10 @@ def run_trial(
 
     net = build_network(config.spec(), rng=rng)
 
-    def train_fn(network, mask):
+    def train_fn(network):
         record = train(
             network, train_set, rng, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
-            patience=config.patience if config.early_stop else None, mask=mask,
+            patience=config.patience if config.early_stop else None,
             test_data=None if result.rounds else test_set, validation_data=validation,
         )
         if not result.rounds:  # the dense level's curve is the training curve

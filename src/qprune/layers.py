@@ -30,11 +30,13 @@ from .tensor import Tensor
 
 @dataclass
 class Param:
-    """One registered parameter tensor; ``prunable`` is False for biases."""
+    """One registered parameter tensor; ``prunable`` is False for biases.
+    ``mask`` is a prunable tensor's keep-mask (uint8, 1 = kept), None until pruned."""
 
     name: str
     tensor: Tensor
     prunable: bool
+    mask: np.ndarray | None = None
 
 
 def _uniform(rng: np.random.Generator, bound: float, shape, dtype) -> Tensor:

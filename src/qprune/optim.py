@@ -1,8 +1,8 @@
-"""Adam optimizer with per-parameter moment buffers and mask support."""
+"""Adam optimizer with per-parameter moment buffers that honours pruning masks."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -12,9 +12,10 @@ from .errors import DimensionError
 class Adam:
     """Standard Adam with bias correction.
 
-    When a mask is supplied to :meth:`step`, gradients and parameter values
-    at masked positions are forced to zero, so pruned weights stay exactly 0
-    through retraining (their moment buffers never accumulate either).
+    A parameter's pruning mask (``Param.mask``), where set, forces its
+    gradient and values at masked positions to zero at every step, so pruned
+    weights stay exactly 0 through retraining (their moment buffers never
+    accumulate either).
 
     A step updates ``m``, ``v`` and the parameters in place and allocates no
     arrays: its temporaries live in two flat scratch buffers per dtype, as
@@ -49,7 +50,7 @@ class Adam:
             tuple(buf[: m.size].reshape(m.shape) for buf in flat[m.dtype]) for m in self.m
         ]
 
-    def step(self, mask: Optional[Mapping[str, np.ndarray]] = None) -> None:
+    def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
@@ -65,7 +66,7 @@ class Adam:
                     f"adam: gradient/state shape {g.shape} does not match parameter "
                     f"{p.name} shape {t.data.shape}"
                 )
-            pm = mask.get(p.name) if mask is not None else None
+            pm = p.mask
             if pm is not None:
                 if pm.shape != t.data.shape:
                     raise DimensionError(

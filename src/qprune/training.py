@@ -18,7 +18,6 @@ from .data import Dataset
 from .errors import NumericalError
 from .models import Network
 from .optim import Adam
-from .pruning import Mask
 from .tensor import Tape, Tensor, _inference_workspace, softmax_cross_entropy
 
 EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
@@ -62,16 +61,18 @@ _SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the co
 
 
 def shard_count(net: Network) -> int:
-    """Shards per training batch: one per usable core for a network with
-    wide activations (``SHARD_MIN_BYTES``) when OpenBLAS is found, else 1."""
+    """Shards per training batch and per evaluation batch: one per usable
+    core for a network with wide activations (``SHARD_MIN_BYTES``) when
+    OpenBLAS is found, else 1."""
     wide = net.widest_activation * net.dtype.itemsize >= SHARD_MIN_BYTES
     return len(os.sched_getaffinity(0)) if wide and blas_threads() is not None else 1
 
 
 def replica(net: Network) -> Network:
     """A copy of ``net`` with gradients of its own, whose parameters hold
-    ``net``'s arrays: in-place updates reach it, rebinding ``.data`` does not."""
-    return copy.deepcopy(net, {id(p.tensor.data): p.tensor.data for p in net.parameters()})
+    ``net``'s arrays and masks: in-place updates reach it, rebinding ``.data``
+    does not."""
+    return copy.deepcopy(net, {id(a): a for p in net.parameters() for a in (p.tensor.data, p.mask)})
 
 
 def _spans(n: int, parts: int) -> list[slice]:
@@ -215,11 +216,11 @@ def train(
     batch_size: int,
     lr: float,
     patience: Optional[int] = None,
-    mask: Optional[Mask] = None,
     test_data: Optional[Dataset] = None,
     validation_data: Optional[Dataset] = None,
 ) -> TrainRecord:
     """Train in place with Adam; returns the per-epoch test-accuracy curve.
+    Pruned weights (``Param.mask``) stay at 0.
 
     With a ``patience`` (early stopping) the validation loss is evaluated
     every ``EVAL_EVERY_STEPS`` optimizer steps; training stops after
@@ -232,7 +233,6 @@ def train(
     opt = Adam(net.parameters(), lr=lr)
     shards = shard_count(net)
     replicas = [replica(net) for _ in range(shards)] if shards > 1 else []
-    mask_arrays = mask.arrays if mask is not None else None
     monitor = EarlyStopMonitor(patience) if patience is not None else None
     best_state: Optional[dict[str, np.ndarray]] = None
 
@@ -244,7 +244,7 @@ def train(
             loss = backward_batch(net, replicas, data.images[idx], data.labels[idx])
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss {loss} at epoch {epoch} step {record.steps}")
-            opt.step(mask_arrays)
+            opt.step()
             record.steps += 1
             if monitor is not None and record.steps % EVAL_EVERY_STEPS == 0:
                 val_loss = evaluate_loss(net, validation_data)

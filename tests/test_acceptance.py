@@ -21,8 +21,8 @@ from qprune.layers import Linear
 from qprune.models import Network, build_network, count_parameters, model_spec
 from qprune.pruning import (
     capture_snapshot,
-    full_mask,
     global_magnitude_prune,
+    kept_count,
     rewind,
     sparsity,
 )
@@ -123,24 +123,23 @@ def test_criterion_5_pruning_arithmetic():
     assert sum(p.tensor.size for p in net.prunable_parameters()) == 100_000
 
     snapshot = capture_snapshot(net)
-    mask = full_mask(net)
+    previous = {p.name: np.ones(p.tensor.shape, np.uint8) for p in net.prunable_parameters()}
     kept_counts = []
-    previous = mask
     monotone = True
     for _ in range(5):
-        mask = global_magnitude_prune(net, mask, 0.2)
-        kept_counts.append(mask.kept_count())
+        global_magnitude_prune(net, 0.2)
+        kept_counts.append(kept_count(net))
         monotone &= all(
-            np.all(mask.arrays[n] <= previous.arrays[n]) for n in mask.arrays
+            np.all(p.mask <= previous[p.name]) for p in net.prunable_parameters()
         )
-        previous = mask
+        previous = {p.name: p.mask for p in net.prunable_parameters()}
     ladder_ok = kept_counts == [80_000, 64_000, 51_200, 40_960, 32_768]
 
     for p in net.parameters():
         p.tensor.data += 0.5  # training drift to be erased
-    rewind(net, snapshot, mask)
+    rewind(net, snapshot)
     rewind_ok = all(
-        np.array_equal(p.tensor.data, snapshot[p.name] * mask.arrays[p.name])
+        np.array_equal(p.tensor.data, snapshot[p.name] * p.mask)
         for p in net.prunable_parameters()
     )
     elapsed = time.time() - t0

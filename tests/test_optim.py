@@ -62,13 +62,12 @@ def test_three_step_quadratic_matches_reference():
 
 def test_masked_positions_receive_no_update():
     data = np.array([1.0, -2.0, 0.0, 3.0])
-    p = Param("w", Tensor(data.copy(), requires_grad=True), True)
-    mask = {"w": np.array([1, 1, 0, 1], dtype=np.uint8)}
+    p = Param("w", Tensor(data.copy(), requires_grad=True), True, mask=np.array([1, 1, 0, 1], dtype=np.uint8))
     p.tensor.data[2] = 0.0
     opt = Adam([p], lr=0.1)
     for _ in range(100):
         p.tensor.grad = np.ones(4)
-        opt.step(mask)
+        opt.step()
     assert p.tensor.data[2] == 0.0  # bit-exact
     assert all(p.tensor.data[i] != data[i] for i in (0, 1, 3))
 
@@ -81,10 +80,10 @@ def test_step_consumes_gradient():
 
 
 def test_mask_shape_mismatch():
-    p = Param("w", Tensor(np.zeros(4), requires_grad=True), True)
+    p = Param("w", Tensor(np.zeros(4), requires_grad=True), True, mask=np.ones(5, dtype=np.uint8))
     p.tensor.grad = np.ones(4)
     with pytest.raises(DimensionError):
-        Adam([p], lr=0.1).step({"w": np.ones(5, dtype=np.uint8)})
+        Adam([p], lr=0.1).step()
 
 
 def test_state_invariants_hold_across_steps():
@@ -135,20 +134,25 @@ class AllocatingAdam:
 SHAPES = [(), (7,), (5, 3)]
 
 
-@pytest.mark.parametrize("masked", [False, True])
+# "ones": the parameters carry no mask, and the reference steps with all-ones masks
+@pytest.mark.parametrize("masked", [False, True, "ones"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_in_place_step_is_bit_identical_to_the_allocating_update(dtype, masked):
     rng = np.random.default_rng(21)
     datas = [rng.standard_normal(s).astype(dtype) for s in SHAPES]
-    masks = [(rng.random(s) < 0.7).astype(np.uint8) for s in SHAPES] if masked else None
-    if masked:
+    masks = [(rng.random(s) < 0.7).astype(np.uint8) for s in SHAPES] if masked is True else None
+    if masked is True:
         masks[0] = np.array(1, dtype=np.uint8)
         for d, pm in zip(datas, masks):
             d *= pm
     params = [Param(f"p{i}", Tensor(d.copy(), requires_grad=True), True) for i, d in enumerate(datas)]
+    if masked is True:
+        for p, pm in zip(params, masks):
+            p.mask = pm
+    elif masked == "ones":
+        masks = [np.ones(s, dtype=np.uint8) for s in SHAPES]
     opt = Adam(params, lr=0.01)
     ref = AllocatingAdam(datas, lr=0.01)
-    mask = {p.name: pm for p, pm in zip(params, masks)} if masked else None
     moments = opt.m + opt.v
     for step in range(20):
         grads = [rng.standard_normal(s).astype(dtype) for s in SHAPES]
@@ -157,7 +161,7 @@ def test_in_place_step_is_bit_identical_to_the_allocating_update(dtype, masked):
         kept = [None if g is None else g.copy() for g in grads]
         for p, g in zip(params, grads):
             p.tensor.grad = g
-        opt.step(mask)
+        opt.step()
         ref.step(grads, masks)
         for g, k in zip(grads, kept):
             np.testing.assert_array_equal(g, k)  # read, never written into
@@ -174,14 +178,14 @@ def test_in_place_step_is_bit_identical_to_the_allocating_update(dtype, masked):
 def test_step_allocates_less_than_one_parameter(masked):
     rng = np.random.default_rng(24)
     p = Param("w", Tensor(rng.standard_normal((256, 64)).astype(np.float32), requires_grad=True), True)
-    mask = {"w": (rng.random((256, 64)) < 0.5).astype(np.uint8)} if masked else None
+    p.mask = (rng.random((256, 64)) < 0.5).astype(np.uint8) if masked else None
     opt = Adam([p], lr=0.01)
     p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
-    opt.step(mask)
+    opt.step()
     p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
     tracemalloc.start()
     try:
-        opt.step(mask)
+        opt.step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

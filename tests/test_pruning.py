@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qprune.errors import StateError
 from qprune.layers import Linear
-from qprune.models import Network, model_spec
+from qprune.models import Network, count_parameters, model_spec
 from qprune.pruning import (
-    Mask,
     capture_snapshot,
-    full_mask,
     global_magnitude_prune,
     iterative_lottery,
+    kept_count,
     prune_count,
     rewind,
     sparsity,
@@ -30,11 +30,17 @@ def weight_vector(net):
     return np.concatenate([p.tensor.data.ravel() for p in net.prunable_parameters()])
 
 
+def keep_masks(net):
+    """Each prunable tensor's keep-mask by name; all ones for a tensor without one."""
+    return {
+        p.name: np.ones(p.tensor.shape, np.uint8) if p.mask is None else p.mask for p in net.prunable_parameters()
+    }
+
+
 def test_prune_count_is_floor_of_rate_times_kept():
     net = make_net(((5, 2),))  # 10 weights
-    mask = full_mask(net)
-    pruned = global_magnitude_prune(net, mask, 0.2)
-    assert pruned.kept_count() == 8
+    global_magnitude_prune(net, 0.2)
+    assert kept_count(net) == 8
 
 
 # float floor gives 28, 62 and 7220: 0.29 * 100 is 28.999999999999996
@@ -42,7 +48,8 @@ def test_prune_count_is_floor_of_rate_times_kept():
 def test_prune_count_uses_the_decimal_rate(rate, kept, count):
     assert prune_count(rate, kept) == count
     net = make_net(((kept, 1),))
-    assert global_magnitude_prune(net, full_mask(net), rate).kept_count() == kept - count
+    global_magnitude_prune(net, rate)
+    assert kept_count(net) == kept - count
 
 
 def test_prune_count_at_rate_02_matches_float_floor():
@@ -54,7 +61,7 @@ def test_prune_count_at_rate_02_matches_float_floor():
 def test_lottery_ladder_at_rate_029_is_exact():
     net = make_net(((100, 1),))
     results = []
-    iterative_lottery(net, lambda n, m: None, lambda n: 1.0, results, rate=0.29, stop_threshold=0.3)
+    iterative_lottery(net, lambda n: None, lambda n: 1.0, results, rate=0.29, stop_threshold=0.3)
     expected = [100]
     while expected[-1] * 29 // 100 >= 1:  # stops when no whole weight is left to prune
         expected.append(expected[-1] - expected[-1] * 29 // 100)
@@ -65,16 +72,16 @@ def test_unique_smallest_magnitude_is_pruned():
     net = make_net(((5, 1),))
     p = net.prunable_parameters()[0]
     p.tensor.data = np.array([[0.1], [-0.5], [0.3], [0.05], [-0.2]])
-    mask = global_magnitude_prune(net, full_mask(net), 0.2)
-    np.testing.assert_array_equal(mask.arrays[p.name].ravel(), [1, 1, 1, 0, 1])
+    global_magnitude_prune(net, 0.2)
+    np.testing.assert_array_equal(p.mask.ravel(), [1, 1, 1, 0, 1])
 
 
 def test_ties_break_by_ascending_registry_index():
     net = make_net(((10, 5), (5, 10)))  # 100 weights
     for p in net.prunable_parameters():
         p.tensor.data[:] = 0.75  # all equal magnitude
-    mask = global_magnitude_prune(net, full_mask(net), 0.2)
-    flat = np.concatenate([mask.arrays[p.name].ravel() for p in net.prunable_parameters()])
+    global_magnitude_prune(net, 0.2)
+    flat = np.concatenate([p.mask.ravel() for p in net.prunable_parameters()])
     np.testing.assert_array_equal(flat[:20], np.zeros(20))  # lowest registry indices go first
     np.testing.assert_array_equal(flat[20:], np.ones(80))
 
@@ -83,29 +90,27 @@ def test_rate_must_lie_in_unit_interval():
     net = make_net()
     for rate in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
-            global_magnitude_prune(net, full_mask(net), rate)
+            global_magnitude_prune(net, rate)
 
 
 def test_sparsity_of_fresh_mask():
-    assert sparsity(full_mask(make_net())) == 1.0
+    assert sparsity(make_net()) == 1.0
 
 
 def test_sparsity_after_three_rounds_is_512():
     net = make_net(((100, 10),))  # 1000 weights
-    mask = full_mask(net)
     for _ in range(3):
-        mask = global_magnitude_prune(net, mask, 0.2)
-    assert sparsity(mask) == pytest.approx(0.512, abs=1e-9)
+        global_magnitude_prune(net, 0.2)
+    assert sparsity(net) == pytest.approx(0.512, abs=1e-9)
 
 
 def test_exact_kept_ladder_100k_weights():
     net = make_net(((250, 200), (200, 250)))  # exactly 100,000 prunable weights
-    mask = full_mask(net)
-    assert mask.total_count() == 100_000
+    assert count_parameters(net.prunable_parameters()) == 100_000
     kept = []
     for _ in range(5):
-        mask = global_magnitude_prune(net, mask, 0.2)
-        kept.append(mask.kept_count())
+        global_magnitude_prune(net, 0.2)
+        kept.append(kept_count(net))
     assert kept == [80_000, 64_000, 51_200, 40_960, 32_768]
 
 
@@ -116,34 +121,34 @@ def test_floor_recurrence_simulation(total_scale, rounds):
     # below k/total
     net = make_net(((total_scale + 1, 4),))
     total = net.prunable_parameters()[0].tensor.size
-    mask = full_mask(net)
     expected = total
     for k in range(1, rounds + 1):
         if int(np.floor(0.2 * expected)) < 1:
             break
-        mask = global_magnitude_prune(net, mask, 0.2)
+        global_magnitude_prune(net, 0.2)
         expected -= int(np.floor(0.2 * expected))
-        assert mask.kept_count() == expected
-        assert abs(sparsity(mask) - 0.8**k) < k / total + 1e-12
+        assert kept_count(net) == expected
+        assert abs(sparsity(net) - 0.8**k) < k / total + 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_mask_monotonicity(seed):
     net = make_net(seed=seed)
-    mask = full_mask(net)
+    mask = keep_masks(net)
     for _ in range(4):
-        new = global_magnitude_prune(net, mask, 0.25)
-        for name in mask.arrays:
-            assert np.all(new.arrays[name] <= mask.arrays[name])  # kept set shrinks only
+        global_magnitude_prune(net, 0.25)
+        new = keep_masks(net)
+        for name in mask:
+            assert np.all(new[name] <= mask[name])  # kept set shrinks only
         mask = new
 
 
 def test_no_kept_weight_smaller_than_any_pruned_weight():
     net = make_net(seed=3)
-    mask = global_magnitude_prune(net, full_mask(net), 0.3)
+    global_magnitude_prune(net, 0.3)
     mags = np.abs(weight_vector(net))
-    keep = np.concatenate([mask.arrays[p.name].ravel() for p in net.prunable_parameters()]).astype(bool)
+    keep = np.concatenate([p.mask.ravel() for p in net.prunable_parameters()]).astype(bool)
     assert mags[keep].min() >= mags[~keep].max()
 
 
@@ -152,7 +157,9 @@ def test_rewind_full_mask_restores_theta0_exactly():
     snap = capture_snapshot(net)
     for p in net.parameters():
         p.tensor.data += 1.0
-    rewind(net, snap, full_mask(net))
+    for p in net.prunable_parameters():
+        p.mask = np.ones(p.tensor.shape, np.uint8)
+    rewind(net, snap)
     for p in net.parameters():
         np.testing.assert_array_equal(p.tensor.data, snap[p.name])
 
@@ -162,12 +169,11 @@ def test_rewind_empty_mask_zeroes_weights_keeps_biases():
     for layer in net.layers:
         layer.b.data[:] = 0.25
     snap = capture_snapshot(net)
-    mask = full_mask(net)
-    for name in mask.arrays:
-        mask.arrays[name][:] = 0
+    for p in net.prunable_parameters():
+        p.mask = np.zeros(p.tensor.shape, np.uint8)
     for p in net.parameters():
         p.tensor.data += 3.0
-    rewind(net, snap, mask)
+    rewind(net, snap)
     for p in net.parameters():
         if p.prunable:
             np.testing.assert_array_equal(p.tensor.data, np.zeros_like(p.tensor.data))
@@ -179,23 +185,22 @@ def test_rewind_random_mask_is_elementwise_product():
     net = make_net(seed=8)
     snap = capture_snapshot(net)
     rng = np.random.default_rng(8)
-    mask = full_mask(net)
-    for name in mask.arrays:
-        mask.arrays[name] = (rng.random(mask.arrays[name].shape) < 0.5).astype(np.uint8)
+    for p in net.prunable_parameters():
+        p.mask = (rng.random(p.tensor.shape) < 0.5).astype(np.uint8)
     for p in net.parameters():
         p.tensor.data -= 2.0
-    rewind(net, snap, mask)
+    rewind(net, snap)
     for p in net.prunable_parameters():
-        np.testing.assert_array_equal(p.tensor.data, snap[p.name] * mask.arrays[p.name])
+        np.testing.assert_array_equal(p.tensor.data, snap[p.name] * p.mask)
 
 
 def test_rewind_is_idempotent():
     net = make_net(seed=9)
     snap = capture_snapshot(net)
-    mask = global_magnitude_prune(net, full_mask(net), 0.4)
-    rewind(net, snap, mask)
+    global_magnitude_prune(net, 0.4)
+    rewind(net, snap)
     once = weight_vector(net)
-    rewind(net, snap, mask)
+    rewind(net, snap)
     np.testing.assert_array_equal(weight_vector(net), once)
 
 
@@ -205,9 +210,9 @@ def test_masked_adam_training_keeps_pruned_weights_at_zero():
     from qprune.tensor import Tape
 
     net = make_net(((6, 4), (4, 3)), seed=10)
-    mask = global_magnitude_prune(net, full_mask(net), 0.5)
+    global_magnitude_prune(net, 0.5)
     snap = capture_snapshot(net)
-    rewind(net, snap, mask)
+    rewind(net, snap)
     opt = Adam(net.parameters(), lr=1e-2)
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -216,9 +221,9 @@ def test_masked_adam_training_keeps_pruned_weights_at_zero():
         with Tape() as tape:
             loss = T.softmax_cross_entropy(net.forward(x), labels)
         tape.backward(loss)
-        opt.step(mask.arrays)
+        opt.step()
     for p in net.prunable_parameters():
-        pruned_positions = mask.arrays[p.name] == 0
+        pruned_positions = p.mask == 0
         assert np.all(p.tensor.data[pruned_positions] == 0.0)  # bit-exact zero
         assert np.any(p.tensor.data[~pruned_positions] != snap[p.name][~pruned_positions])
 
@@ -227,7 +232,7 @@ def test_always_failing_threshold_stops_after_two_prune_iterations():
     net = make_net(seed=11)
     calls = {"train": 0, "eval": 0}
 
-    def train_fn(network, mask):
+    def train_fn(network):
         calls["train"] += 1
 
     def eval_fn(network):
@@ -245,7 +250,7 @@ def test_lottery_reports_descending_sparsity_and_uses_rewound_models():
     snap_values = weight_vector(net).copy()
     seen_sparsities = []
 
-    def train_fn(network, mask):
+    def train_fn(network):
         # emulate training drift; rewind must erase it between rounds
         for p in network.prunable_parameters():
             p.tensor.data += 0.01
@@ -267,8 +272,17 @@ def test_lottery_reports_descending_sparsity_and_uses_rewound_models():
 def test_lottery_validates_rate_before_training():
     calls = []
     with pytest.raises(ValueError, match="prune rate"):
-        iterative_lottery(make_net(), lambda n, m: calls.append(m), calls.append, [], rate=1.2, stop_threshold=0.3)
+        iterative_lottery(make_net(), calls.append, calls.append, [], rate=1.2, stop_threshold=0.3)
     assert calls == []
+
+
+def test_lottery_refuses_a_pruned_network_before_training():
+    net = make_net()
+    global_magnitude_prune(net, 0.2)
+    calls = []
+    with pytest.raises(StateError, match="dense"):
+        iterative_lottery(net, calls.append, calls.append, [], rate=0.2, stop_threshold=0.3)
+    assert calls == []  # train_fn never ran
 
 
 def test_output_layer_shares_the_global_pool():
@@ -278,6 +292,6 @@ def test_output_layer_shares_the_global_pool():
     first, second = net.prunable_parameters()
     first.tensor.data[:] = 1.0
     second.tensor.data[:] = 1e-6
-    mask = global_magnitude_prune(net, full_mask(net), 0.5)  # prune 40 of 80
-    assert mask.arrays[second.name].sum() == 0  # all 40 tiny weights gone
-    assert mask.arrays[first.name].sum() == 40  # large-magnitude layer untouched
+    global_magnitude_prune(net, 0.5)  # prune 40 of 80
+    assert second.mask.sum() == 0  # all 40 tiny weights gone
+    assert first.mask.sum() == 40  # large-magnitude layer untouched

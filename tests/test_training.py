@@ -15,6 +15,7 @@ from qprune.harness import MMAP_THRESHOLD_BYTES
 from qprune.layers import Flatten, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import ALLOWED_DATASETS, FIELDS, MODEL_NAMES, Network, build_network, model_spec
 from qprune.optim import Adam
+from qprune.pruning import capture_snapshot, global_magnitude_prune, rewind
 from qprune.tensor import Tape, softmax_cross_entropy
 from qprune.training import (
     EVAL_BATCH_BYTES,
@@ -304,10 +305,12 @@ def test_sharded_quat_linear_gradients_match_one_batch_in_float64(shards):
 
 def test_replicas_share_parameter_arrays_but_not_gradients():
     net = small_quat_conv_net()
+    global_magnitude_prune(net, 0.5)
     copy = replica(net)
     for p, r in zip(net.parameters(), copy.parameters()):
         assert p.name == r.name
         assert r.tensor.data is p.tensor.data and r.tensor is not p.tensor
+        assert r.mask is p.mask and (p.mask is not None) == p.prunable
     # the layers compute with the tensors the registry lists
     assert {id(t) for layer in copy.layers for _, t, _ in layer.params()} == {id(r.tensor) for r in copy.parameters()}
     rng = np.random.default_rng(2)
@@ -388,6 +391,24 @@ def test_overlapping_callers_keep_their_gradients_and_the_blas_count(two_cores):
         for grads in runs:
             for g, w in zip(grads, serial):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_sharded_training_keeps_pruned_weights_at_zero(two_cores, monkeypatch):
+    net = small_quat_net_with_linear()
+    shard_over(monkeypatch, 2)
+    assert shard_count(net) == 2
+    snapshot = capture_snapshot(net)
+    global_magnitude_prune(net, 0.5)
+    rewind(net, snapshot)
+    data = synthetic_dataset(n=16, shape=(3, 4, 4), classes=3, seed=8)
+    data.labels[:] = np.random.default_rng(9).integers(0, 3, 16)
+    train(net, data, np.random.default_rng(0), epochs=2, batch_size=8, lr=1e-2)
+    moved = 0
+    for p in net.prunable_parameters():
+        pruned = p.mask == 0
+        assert np.all(p.tensor.data[pruned] == 0.0)  # bit-exact zero
+        moved += np.count_nonzero(p.tensor.data[~pruned] != snapshot[p.name][~pruned])
+    assert moved > 0
 
 
 # ---------------------------------------------------------------------------
