@@ -9,14 +9,16 @@ Readers are bit-exact parsers for the published distribution formats:
 * CIFAR-100 binary: 3074-byte records, coarse label byte, fine label byte,
   3072 pixel bytes; the fine label (100 classes) is used.
 
-Pixels are scaled by 1/255 into [0,1]; no further standardization.
-Files are read from local paths only; nothing is downloaded.
+Pixels stay u8 as loaded; ``scale_pixels`` maps them into [0,1] as float32
+``u / 255``, with no further standardization.  Files are read from local
+paths only; nothing is downloaded.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ LUMA_R, LUMA_G, LUMA_B = 0.299, 0.587, 0.114
 
 @dataclass
 class Dataset:
-    """Images in [0,1] as float32 [N,C,H,W] plus integer class labels."""
+    """Images [N,C,H,W] plus integer class labels.  The images are either u8
+    pixels, as the loaders return them, or floats in [0,1]."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -58,13 +61,38 @@ class Dataset:
         """First n examples (the reduced-train smoke profile)."""
         return Dataset(self.images[:n], self.labels[:n], self.num_classes)
 
+    def scaled(self) -> "Dataset":
+        """This dataset with u8 images scaled by ``scale_pixels``; a float
+        dataset is returned as it is."""
+        if self.images.dtype != np.uint8:
+            return self
+        return Dataset(scale_pixels(self.images), self.labels, self.num_classes)
+
+    def memory(self) -> dict:
+        """Image count, pixel dtype and the MB held by the buffer the images
+        live in (for a subset of a file's bytes, the whole file)."""
+        owner = self.images
+        while isinstance(owner, np.ndarray) and owner.base is not None:
+            owner = owner.base
+        return {"images": len(self), "dtype": str(self.images.dtype), "mb": round(memoryview(owner).nbytes / 1e6, 3)}
+
+
+def scale_pixels(pixels: np.ndarray) -> np.ndarray:
+    """u8 pixels as float32 ``u / 255``, correctly rounded, in [0,1]."""
+    out = pixels.astype(np.float32)
+    out /= 255.0
+    return out
+
 
 def _read_file(path: str) -> bytes:
-    if path.endswith(".gz"):
-        with gzip.open(path, "rb") as f:
+    try:
+        if path.endswith(".gz"):
+            with gzip.open(path, "rb") as f:
+                return f.read()
+        with open(path, "rb") as f:
             return f.read()
-    with open(path, "rb") as f:
-        return f.read()
+    except (OSError, EOFError, zlib.error) as e:  # OSError covers gzip.BadGzipFile
+        raise DataFormatError(f"{path}: cannot read the file: {e}") from e
 
 
 def _find(directory: str, name: str) -> str:
@@ -95,7 +123,8 @@ def _parse_idx(buf: bytes, path: str, expect_magic: int, expect_dims: int) -> np
 
 
 def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
-    """Load the four standard IDX files from ``directory``."""
+    """Load the four standard IDX files from ``directory``; the images are a
+    read-only u8 view of the image file's bytes."""
     out = []
     for img_name, lbl_name in (
         ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -115,9 +144,7 @@ def load_mnist(directory: str) -> tuple[Dataset, Dataset]:
             raise DataFormatError(
                 f"{img_path}: images are {images.shape[1]}x{images.shape[2]} pixels, expected 28x28"
             )
-        pixels = images.astype(np.float32)
-        pixels /= 255.0
-        out.append(Dataset(pixels[:, None, :, :], labels.astype(np.int64), 10))
+        out.append(Dataset(images[:, None, :, :], labels.astype(np.int64), 10))
     return out[0], out[1]
 
 
@@ -134,7 +161,8 @@ def _parse_cifar_records(buf: bytes, path: str, record: int, label_offset: int) 
 
 
 def load_cifar(directory: str, variant: int) -> tuple[Dataset, Dataset]:
-    """Load CIFAR-10 (variant=10) or CIFAR-100 (variant=100) binary files."""
+    """Load CIFAR-10 (variant=10) or CIFAR-100 (variant=100) binary files;
+    each split's images are one u8 array of its records' pixels."""
     if variant not in (10, 100):
         raise ValueError(f"cifar variant must be 10 or 100, got {variant}")
     subdir = "cifar-10-batches-bin" if variant == 10 else "cifar-100-binary"
@@ -159,10 +187,7 @@ def load_cifar(directory: str, variant: int) -> tuple[Dataset, Dataset]:
             paths.append(path)
         if not sum(len(lb) for lb in label_parts):
             raise DataFormatError(f"{', '.join(paths)}: no images")
-        images = np.concatenate(pixel_parts, dtype=np.float32)
-        images /= 255.0
-        labels = np.concatenate(label_parts)
-        return Dataset(images, labels, variant)
+        return Dataset(np.concatenate(pixel_parts), np.concatenate(label_parts), variant)
 
     return load_split(train_files), load_split(test_files)
 

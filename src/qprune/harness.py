@@ -125,6 +125,7 @@ class AggregateResult:
     wall_seconds: float
     heap_resident: bool = False  # what keep_heap_resident returned for this run
     shards: int = 1  # training.shard_count of the run's network
+    data: dict = field(default_factory=dict)  # split name: Dataset.memory() of what the trials read
 
 
 def keep_heap_resident() -> bool:
@@ -176,6 +177,9 @@ def _environment(result: AggregateResult) -> dict:
 
 
 def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The training split as loaded (u8 pixels, scaled per batch as it is
+    drawn) and the test split scaled once, since every evaluation reads it
+    whole."""
     if config.dataset == "mnist":
         train_set, test_set = load_mnist(config.data_dir)
     else:
@@ -190,7 +194,18 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"early stopping needs at least 2 training images for a validation split, got {len(train_set)}"
         )
-    return train_set, test_set
+    return train_set, test_set.scaled()
+
+
+def _data_memory(config: ExperimentConfig, train_set: Dataset, test_set: Dataset) -> dict:
+    """``Dataset.memory()`` of each split; early stopping adds the scaled
+    validation split each trial holds."""
+    memory = {"train": train_set.memory(), "test": test_set.memory()}
+    if config.early_stop:
+        n = _validation_size(len(train_set))
+        one = train_set.subset(1).scaled().images
+        memory["validation"] = {"images": n, "dtype": str(one.dtype), "mb": round(n * one.nbytes / 1e6, 3)}
+    return memory
 
 
 def _validation_size(n_train: int) -> int:
@@ -221,6 +236,7 @@ def run_trial(
     if config.early_stop:
         vs = _validation_size(len(train_full))
         train_set, validation = split_train_validation(train_full, vs, seed)
+        validation = validation.scaled()  # read whole every EVAL_EVERY_STEPS steps
 
     net = build_network(config.spec(), rng=rng)
 
@@ -293,6 +309,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         wall_seconds=time.monotonic() - started,
         heap_resident=heap_resident,
         shards=shard_count(build_network(config.spec(), seed=0)),
+        data=_data_memory(config, *datasets),
     )
 
 
@@ -311,7 +328,8 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
 
     Column order and headers are stable; identical experiments produce
     byte-identical CSVs.  Failed trials are left out of the CSVs, and the
-    manifest gives each one's seed, error and finished levels.
+    manifest gives each one's seed, error and finished levels, and each
+    data split's image count, dtype and MB held.
     """
     os.makedirs(directory, exist_ok=True)
     fld = result.config.field
@@ -339,6 +357,7 @@ def emit_results(result: AggregateResult, directory: str) -> list[str]:
         "trial_errors": [{"seed": t.seed, "error": t.error, "levels": [asdict(r) for r in t.rounds]}
                          for t in result.trials if t.failed],
         "wall_seconds": result.wall_seconds,
+        "data": result.data,
         "version": __version__,
         "environment": _environment(result),
     }

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import add_grayscale_channel
+from .data import add_grayscale_channel, scale_pixels
 from .errors import ConfigError, DimensionError
 from .layers import (
     Conv2d,
@@ -137,8 +137,13 @@ class Network:
 
 
 def prepare_images(spec: ModelSpec, images: np.ndarray, dtype) -> np.ndarray:
+    """A raw [N,C,H,W] batch in ``dtype``, packed for ``spec``'s input layer.
+    A u8 batch is first scaled by ``scale_pixels`` (float32 ``u / 255``), as
+    ``Dataset.scaled`` scales a split, so it packs to the bits of its scaled copy."""
     if images.ndim != 4:
         raise DimensionError(f"expected [N,C,H,W] images, got shape {images.shape}")
+    if images.dtype == np.uint8:
+        images = scale_pixels(images)
     images = images.astype(dtype, copy=False)
     n = images.shape[0]
     if spec.dataset == "mnist":

@@ -119,6 +119,18 @@ def test_empty_test_split_exits_2(tmp_path, capsys):
     assert "t10k-images-idx3-ubyte: no images" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_gzip_exits_2(tmp_path, capsys):
+    make_mnist_files(tmp_path, n_train=60, n_test=20)
+    (tmp_path / "t10k-labels-idx1-ubyte").rename(tmp_path / "t10k-labels-idx1-ubyte.gz")
+    rc = main([
+        "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
+        "--data", str(tmp_path), "--out", str(tmp_path / "out"), "--trials", "1", "--epochs", "1",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "t10k-labels-idx1-ubyte.gz" in err and "Traceback" not in err
+
+
 def test_mnist_images_that_are_not_28x28_exit_2_before_training(tmp_path, capsys, monkeypatch):
     make_mnist_files(tmp_path, n_train=60, n_test=20)
     for prefix, n in (("train", 60), ("t10k", 20)):

@@ -1,6 +1,7 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +34,27 @@ def test_load_mnist_synthetic_roundtrip(tmp_path):
     train, test = load_mnist(str(tmp_path))
     assert len(train) == 50 and len(test) == 20
     assert train.images.shape == (50, 1, 28, 28)
-    assert train.images.dtype == np.float32
-    assert train.images.min() >= 0.0 and train.images.max() <= 1.0
-    assert train.num_classes == 10
+    assert train.images.dtype == np.uint8
+    assert not train.images.flags.writeable  # a view of the file's bytes
+    scaled = train.scaled()
+    assert scaled.images.dtype == np.float32
+    assert scaled.images.min() >= 0.0 and scaled.images.max() <= 1.0
+    assert scaled.labels is train.labels and train.num_classes == 10
+
+
+def test_loading_allocates_less_than_the_float32_set(tmp_path):
+    n_train, n_test = 2000, 500
+    make_mnist_files(tmp_path, n_train=n_train, n_test=n_test)
+    tracemalloc.start()
+    try:
+        train, test = load_mnist(str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    float32_bytes = (n_train + n_test) * 28 * 28 * 4
+    assert peak < float32_bytes, f"loading allocated {peak} bytes"
+    file_mb = round((16 + n_train * 784) / 1e6, 3)  # the images view the whole file
+    assert train.memory() == {"images": n_train, "dtype": "uint8", "mb": file_mb}
 
 
 EVERY_BYTE = np.arange(256, dtype=np.uint8)
@@ -49,8 +68,11 @@ def test_idx_pixel_scaling_is_exact(tmp_path):
     write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images)
     write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", np.array([7], dtype=np.uint8))
     train, _ = load_mnist(str(tmp_path))
-    assert train.images.dtype == np.float32
-    np.testing.assert_array_equal(train.images.reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
+    assert train.images.dtype == np.uint8
+    np.testing.assert_array_equal(train.images.reshape(-1)[:256], EVERY_BYTE)
+    scaled = train.scaled().images
+    assert scaled.dtype == np.float32
+    np.testing.assert_array_equal(scaled.reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
     assert train.labels[0] == 3
 
 
@@ -62,8 +84,11 @@ def test_cifar_pixel_scaling_is_exact(tmp_path):
         write_cifar10_batch(tmp_path / f"data_batch_{b}.bin", 1)
     write_cifar10_batch(tmp_path / "test_batch.bin", 1)
     train, _ = load_cifar(str(tmp_path), 10)
-    assert train.images.dtype == np.float32
-    np.testing.assert_array_equal(train.images[0].reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
+    assert train.images.dtype == np.uint8
+    np.testing.assert_array_equal(train.images[0].reshape(-1)[:256], EVERY_BYTE)
+    scaled = train.scaled().images
+    assert scaled.dtype == np.float32
+    np.testing.assert_array_equal(scaled[0].reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
 
 
 def test_mnist_images_that_are_not_28x28_rejected(tmp_path):
@@ -107,6 +132,32 @@ def test_image_label_count_mismatch_rejected(tmp_path):
         load_mnist(str(tmp_path))
 
 
+def _directory(path):
+    os.unlink(path)
+    os.mkdir(path)
+
+
+def _truncated_gzip(path):
+    os.rename(path, path + ".gz")
+    with open(path + ".gz", "rb") as f:
+        raw = f.read()
+    with open(path + ".gz", "wb") as f:
+        f.write(gzip.compress(raw)[: len(raw) // 4])
+
+
+def _not_gzip(path):
+    os.rename(path, path + ".gz")
+
+
+@pytest.mark.parametrize("spoil", [_directory, _truncated_gzip, _not_gzip], ids=["directory", "truncated_gzip", "not_gzip"])
+def test_unreadable_file_rejected_with_its_path(tmp_path, spoil):
+    make_mnist_files(tmp_path, n_train=10, n_test=5)
+    path = str(tmp_path / "train-images-idx3-ubyte")
+    spoil(path)
+    with pytest.raises(DataFormatError, match="train-images-idx3-ubyte.*: cannot read the file"):
+        load_mnist(str(tmp_path))
+
+
 def test_missing_file_reported(tmp_path):
     with pytest.raises(DataFormatError, match="missing"):
         load_mnist(str(tmp_path))
@@ -141,9 +192,11 @@ def test_cifar10_channel_major_layout(tmp_path):
     write_cifar10_batch(tmp_path / "test_batch.bin", 1)
     train, _ = load_cifar(str(tmp_path), 10)
     assert train.labels[0] == 5
-    assert train.images[0, 0, 0, 0] == np.float32(1.0)
-    assert train.images[0, 1, 0, 0] == np.float32(128 / 255)
-    assert train.images[0, 2, 0, 0] == np.float32(64 / 255)
+    assert train.images[0, :, 0, 0].tolist() == [255, 128, 64]
+    scaled = train.scaled().images
+    assert scaled[0, 0, 0, 0] == np.float32(1.0)
+    assert scaled[0, 1, 0, 0] == np.float32(128 / 255)
+    assert scaled[0, 2, 0, 0] == np.float32(64 / 255)
 
 
 def test_cifar100_fine_label_is_second_byte(tmp_path):
@@ -264,6 +317,11 @@ def test_loading_twice_is_bit_identical(tmp_path):
     b_train, b_test = load_mnist(str(tmp_path))
     np.testing.assert_array_equal(a_train.images, b_train.images)
     np.testing.assert_array_equal(a_test.labels, b_test.labels)
+
+
+def test_scaled_passes_a_float_dataset_through():
+    ds = make_dataset(4)
+    assert ds.scaled() is ds
 
 
 def test_dataset_rejects_out_of_range_labels():

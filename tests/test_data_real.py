@@ -29,8 +29,10 @@ def test_mnist_label_balance(mnist):
 
 def test_mnist_pixel_range(mnist):
     train, _ = mnist
-    assert float(train.images.min()) == 0.0
-    assert float(train.images.max()) == 1.0
+    assert (int(train.images.min()), int(train.images.max())) == (0, 255)
+    scaled = train.scaled().images
+    assert float(scaled.min()) == 0.0
+    assert float(scaled.max()) == 1.0
 
 
 def test_mnist_loads_bit_identically(mnist_dir):

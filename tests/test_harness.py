@@ -11,7 +11,7 @@ import pytest
 
 import qprune.harness as harness
 import qprune.training as training
-from conftest import make_cifar10_files, run_child, synthetic_dataset
+from conftest import make_cifar10_files, make_mnist_files, run_child, synthetic_dataset
 from qprune.errors import ConfigError, NumericalError
 from qprune.harness import (
     AggregateResult,
@@ -201,6 +201,32 @@ def test_sharded_runs_give_identical_csv_bytes_for_any_worker_count(tmp_path, tw
     env = json.loads((tmp_path / "a" / "manifest.json").read_text())["environment"]
     assert env["shards"] == 2
     assert env["blas_threads"] == training.blas_threads()
+
+
+@pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+def test_u8_splits_give_the_csv_bytes_of_their_scaled_copies(tmp_path, monkeypatch, dataset):
+    # early stopping with a validation evaluation after every step
+    monkeypatch.setattr(training, "EVAL_EVERY_STEPS", 1)
+    if dataset == "mnist":
+        make_mnist_files(tmp_path / "data", n_train=120, n_test=30)
+        config = tiny_config(field="quat", data_dir=str(tmp_path / "data"), early_stop=True, rounds=1)
+    else:
+        make_cifar10_files(tmp_path / "data", per_batch=8)
+        config = tiny_conv_config(tmp_path / "data", early_stop=True)
+    emit_results(run_experiment(config), str(tmp_path / "u8"))
+    load = harness.load_datasets
+    monkeypatch.setattr(harness, "load_datasets", lambda c: tuple(d.scaled() for d in load(c)))
+    emit_results(run_experiment(config), str(tmp_path / "scaled"))
+    assert csv_bytes(tmp_path / "u8") == csv_bytes(tmp_path / "scaled")
+
+    data = json.loads((tmp_path / "u8" / "manifest.json").read_text())["data"]
+    n_train, pixels = (120, 784) if dataset == "mnist" else (20, 3072)
+    n_val = n_train // 5
+    assert data["train"]["images"] == n_train and data["train"]["dtype"] == "uint8"
+    assert data["test"]["dtype"] == "float32"
+    assert data["validation"] == {"images": n_val, "dtype": "float32", "mb": round(n_val * pixels * 4 / 1e6, 3)}
+    scaled = json.loads((tmp_path / "scaled" / "manifest.json").read_text())["data"]
+    assert scaled["train"]["dtype"] == "float32" and scaled["train"]["mb"] > data["train"]["mb"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -199,6 +199,20 @@ def test_cifar_quat_input_gains_grayscale_plane():
     np.testing.assert_array_equal(out[:, :3], images)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("field", ["real", "quat"])
+@pytest.mark.parametrize("model, dataset", [("lenet300", "mnist"), ("conv2", "cifar10")])
+def test_u8_batch_packs_to_the_bits_of_its_scaled_copy(model, dataset, field, dtype):
+    spec = model_spec(model, dataset, field)
+    size = 2 * int(np.prod(spec.input_shape))
+    every_byte = np.resize(np.arange(256, dtype=np.uint8), size)
+    u8 = np.random.default_rng(4).permutation(every_byte).reshape(2, *spec.input_shape)
+    want = prepare_images(spec, u8.astype(np.float32) / np.float32(255), dtype)  # the loaders' old float32 split
+    got = prepare_images(spec, u8, dtype)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_count_parameters_empty_network():
     spec = model_spec("lenet12", "mnist", "real")
     empty = Network(spec, [], np.float32)

@@ -72,6 +72,22 @@ def test_masked_positions_receive_no_update():
     assert all(p.tensor.data[i] != data[i] for i in (0, 1, 3))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_step_zeroes_a_pruned_weight_that_was_not_rewound(dtype):
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal(6).astype(dtype)
+    grad = rng.standard_normal(6).astype(dtype)
+    mask = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    assert np.all(data != 0)  # the masked entries hold their old values
+    pruned = Param("w", Tensor(data.copy(), requires_grad=True), True, mask=mask)
+    free = Param("w", Tensor(data.copy(), requires_grad=True), True)
+    for p in (pruned, free):
+        p.tensor.grad = grad.copy()
+        Adam([p], lr=0.01).step()
+    assert np.all(pruned.tensor.data[mask == 0] == 0)
+    assert pruned.tensor.data[mask == 1].tobytes() == free.tensor.data[mask == 1].tobytes()
+
+
 def test_step_consumes_gradient():
     p = scalar_param(1.0)
     p.tensor.grad = np.array(1.0)
