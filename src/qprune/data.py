@@ -58,8 +58,8 @@ class Dataset:
         return self.images.shape[0]
 
     def subset(self, n: int) -> "Dataset":
-        """First n examples (the reduced-train smoke profile)."""
-        return Dataset(self.images[:n], self.labels[:n], self.num_classes)
+        """A copy of the first n examples (the reduced-train smoke profile), so the rest can be freed."""
+        return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.num_classes)
 
     def scaled(self) -> "Dataset":
         """This dataset with u8 images scaled by ``scale_pixels``; a float
@@ -70,7 +70,7 @@ class Dataset:
 
     def memory(self) -> dict:
         """Image count, pixel dtype and the MB held by the buffer the images
-        live in (for a subset of a file's bytes, the whole file)."""
+        live in (an MNIST split as loaded views its whole image file)."""
         owner = self.images
         while isinstance(owner, np.ndarray) and owner.base is not None:
             owner = owner.base

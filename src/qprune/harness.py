@@ -172,6 +172,7 @@ def _environment(result: AggregateResult) -> dict:
         "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         "heap_resident": result.heap_resident,
         "shards": result.shards,
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "blas_threads": blas_threads(),
     }
 

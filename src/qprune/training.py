@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import ctypes
 import functools
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -24,12 +23,13 @@ EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
 # Half of harness.MMAP_THRESHOLD_BYTES, so that the arrays of a whole-batch
 # evaluation stay on the resident heap: the largest, conv2d's
 # [F, N·(H+2)·(W+2)] buffer, is 1.13x the widest activation at 32x32.  A
-# sharded evaluation splits each batch over the cores, and each shard keeps
+# sharded evaluation splits each batch into shards, and each shard keeps
 # that buffer in its inference workspace slot, mapped outside the heap.
 EVAL_BATCH_BYTES = 16 * 1024 * 1024
-# Per-image bytes of the widest activation from which training batches are split
-# over the cores: a conv net at 32x32 has 256 KiB, a LeNet at most 3.1 KiB.
+# Per-image bytes of the widest activation from which batches are split into
+# SHARDS shards: a conv net at 32x32 has 256 KiB, a LeNet at most 3.1 KiB.
 SHARD_MIN_BYTES = 64 * 1024
+SHARDS = 2  # part of the plan, not of the machine: the shard order fixes the bits
 _NO_BLAS = (lambda: None, lambda count: None)
 
 
@@ -56,16 +56,16 @@ def blas_threads() -> Optional[int]:
     return _openblas()[0]()
 
 
-_SHARD_POOL = ThreadPoolExecutor(thread_name_prefix="qprune-shard")
-_SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the cores
+_SHARD_POOL = ThreadPoolExecutor(max_workers=SHARDS, thread_name_prefix="qprune-shard")
+_SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the pool
 
 
 def shard_count(net: Network) -> int:
-    """Shards per training batch and per evaluation batch: one per usable
-    core for a network with wide activations (``SHARD_MIN_BYTES``) when
-    OpenBLAS is found, else 1."""
+    """Shards per training batch and per evaluation batch: ``SHARDS`` for a
+    network with wide activations (``SHARD_MIN_BYTES``) when OpenBLAS is found
+    to hold each shard to one thread, else 1; never read from the machine."""
     wide = net.widest_activation * net.dtype.itemsize >= SHARD_MIN_BYTES
-    return len(os.sched_getaffinity(0)) if wide and blas_threads() is not None else 1
+    return SHARDS if wide and blas_threads() is not None else 1
 
 
 def replica(net: Network) -> Network:

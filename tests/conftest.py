@@ -110,10 +110,9 @@ def make_cifar10_files(directory, per_batch=6):
 
 
 @pytest.fixture
-def two_cores(monkeypatch):
-    """Two usable cores, and an OpenBLAS stand-in where none is loaded, so
-    that a conv net shards in two on any machine."""
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def openblas_at_two_threads(monkeypatch):
+    """OpenBLAS at two threads, through a stand-in where none is loaded, so
+    that a conv net shards on any machine and its shards must restore the count."""
     if training.blas_threads() is None:
         count = [4]
         fake = (lambda: count[0], lambda n: count.__setitem__(0, n))

@@ -1,11 +1,13 @@
 import argparse
 import csv
+import os
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from conftest import make_mnist_files, write_idx_images
+from conftest import SRC, make_mnist_files, write_idx_images
 from qprune.cli import _build_parser, main
 from qprune.errors import ConfigError
 from qprune.harness import ExperimentConfig
@@ -54,6 +56,13 @@ def run_parser():
 def test_run_flags_are_named_for_the_config_fields():
     dests = {a.dest for a in run_parser()._actions} - {"help", "model", "dataset", "field"}
     assert dests == {f.name for f in fields(ExperimentConfig)} - {"model", "dataset", "field"}
+
+
+def test_readme_run_synopsis_lists_every_run_flag():
+    readme = open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8").read()
+    synopsis = readme[readme.index("```\nqprune run ") : readme.index("qprune verify")]
+    flags = {s for a in run_parser()._actions for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == flags
 
 
 def test_every_run_flag_reaches_the_config(tmp_path, monkeypatch):

@@ -57,6 +57,17 @@ def test_loading_allocates_less_than_the_float32_set(tmp_path):
     assert train.memory() == {"images": n_train, "dtype": "uint8", "mb": file_mb}
 
 
+def test_a_subset_is_a_copy_that_holds_only_its_own_images(tmp_path):
+    make_mnist_files(tmp_path, n_train=50, n_test=10)
+    train, _ = load_mnist(str(tmp_path))
+    subset = train.subset(20)
+    assert not np.shares_memory(subset.images, train.images)
+    assert not np.shares_memory(subset.labels, train.labels)
+    np.testing.assert_array_equal(subset.images, train.images[:20])
+    np.testing.assert_array_equal(subset.labels, train.labels[:20])
+    assert subset.memory() == {"images": 20, "dtype": "uint8", "mb": round(20 * 784 / 1e6, 3)}
+
+
 EVERY_BYTE = np.arange(256, dtype=np.uint8)
 
 

@@ -189,7 +189,7 @@ def csv_bytes(directory) -> bytes:
     return b"".join((directory / name).read_bytes() for name in ("training_curve.csv", "sparsity_sweep.csv"))
 
 
-def test_sharded_runs_give_identical_csv_bytes_for_any_worker_count(tmp_path, two_cores):
+def test_sharded_runs_give_identical_csv_bytes_for_any_worker_count(tmp_path, openblas_at_two_threads):
     make_cifar10_files(tmp_path / "data", per_batch=8)
     blobs = []
     for name, workers in (("a", 1), ("b", 1), ("c", 2)):
@@ -201,6 +201,14 @@ def test_sharded_runs_give_identical_csv_bytes_for_any_worker_count(tmp_path, tw
     env = json.loads((tmp_path / "a" / "manifest.json").read_text())["environment"]
     assert env["shards"] == 2
     assert env["blas_threads"] == training.blas_threads()
+
+
+def test_a_train_subset_run_reports_only_the_subset_held(tmp_path):
+    make_mnist_files(tmp_path / "data", n_train=120, n_test=30)
+    config = tiny_config(data_dir=str(tmp_path / "data"), train_subset=40, rounds=0)
+    emit_results(run_experiment(config), str(tmp_path))
+    train = json.loads((tmp_path / "manifest.json").read_text())["data"]["train"]
+    assert train == {"images": 40, "dtype": "uint8", "mb": round(40 * 784 / 1e6, 3)}  # not the 120-image file
 
 
 @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
@@ -231,7 +239,7 @@ def test_u8_splits_give_the_csv_bytes_of_their_scaled_copies(tmp_path, monkeypat
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("lr, failures", [(1e-3, 0), (1e30, 2)])  # 1e30: NumericalError in every trial
-def test_run_experiment_restores_the_blas_thread_count(tmp_path, two_cores, lr, failures):
+def test_run_experiment_restores_the_blas_thread_count(tmp_path, openblas_at_two_threads, lr, failures):
     make_cifar10_files(tmp_path / "data", per_batch=8)
     before = training.blas_threads()
     agg = run_experiment(tiny_conv_config(tmp_path / "data", lr=lr, workers=2))  # overlapping trials
@@ -348,6 +356,7 @@ def test_manifest_echoes_thread_variables_and_allocator_result(tmp_path, monkeyp
     assert env["OMP_NUM_THREADS"] is None
     assert env["heap_resident"] is True
     assert env["shards"] == 1
+    assert env["cpus"] == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count())
     assert env["blas_threads"] == harness.blas_threads()
     if harness.blas_threads() is not None:
         assert env["blas_threads"] >= 1

@@ -218,11 +218,11 @@ print(json.dumps({"shards": shard_count(net), "faults": faults}))
 def test_conv2_eval_takes_no_page_faults_after_warm_up():
     # The heap policy is process-wide, so it is measured in a child process.
     # 200 images make four batches of 50, 203 images batches of 51 and 50,
-    # whose shards (26 + 25 and 25 + 25 on two cores) differ in length.
-    cores = len(os.sched_getaffinity(0)) if training.blas_threads() is not None else 1
+    # whose shards (26 + 25 and 25 + 25 in two shards) differ in length.
+    shards = training.SHARDS if training.blas_threads() is not None else 1
     for n in (200, 203):
         result = run_child(_EVAL_FAULT_PROBE, n, timeout=120)
-        assert result["shards"] == cores  # sharded wherever the machine allows it
+        assert result["shards"] == shards  # sharded wherever OpenBLAS is found
         assert len(result["faults"]) == 3
         assert max(result["faults"]) < 100, (n, result)
 
@@ -324,18 +324,17 @@ def test_replicas_share_parameter_arrays_but_not_gradients():
 
 @pytest.mark.parametrize("name", ["lenet300", "lenet12"])
 @pytest.mark.parametrize("field", FIELDS)
-def test_lenets_never_shard(monkeypatch, name, field):
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+def test_lenets_never_shard(name, field):
     assert shard_count(build_network(model_spec(name, "mnist", field))) == 1
 
 
 @pytest.mark.parametrize("name", ["conv2", "conv4", "conv6"])
-def test_conv_nets_shard_once_per_core(two_cores, name):
-    assert shard_count(build_network(model_spec(name, "cifar10", "quat"))) == 2
+def test_conv_nets_shard_once_per_core(openblas_at_two_threads, name):
+    assert shard_count(build_network(model_spec(name, "cifar10", "quat"))) == training.SHARDS  # whatever the cores
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_nan_in_one_shard_raises_and_restores_blas_threads(two_cores, monkeypatch):
+def test_nan_in_one_shard_raises_and_restores_blas_threads(openblas_at_two_threads, monkeypatch):
     spec = model_spec("conv2", "cifar10", "quat")
     net = build_network(spec, seed=0)
     data = synthetic_dataset(n=4, shape=spec.input_shape, seed=5)
@@ -356,7 +355,7 @@ def test_nan_in_one_shard_raises_and_restores_blas_threads(two_cores, monkeypatc
 
 
 
-def test_overlapping_callers_keep_their_gradients_and_the_blas_count(two_cores):
+def test_overlapping_callers_keep_their_gradients_and_the_blas_count(openblas_at_two_threads):
     # more callers than cores, switching threads every 10 us
     nets = [small_quat_conv_net(seed) for seed in range(4)]
     rng = np.random.default_rng(3)
@@ -393,7 +392,7 @@ def test_overlapping_callers_keep_their_gradients_and_the_blas_count(two_cores):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def test_sharded_training_keeps_pruned_weights_at_zero(two_cores, monkeypatch):
+def test_sharded_training_keeps_pruned_weights_at_zero(openblas_at_two_threads, monkeypatch):
     net = small_quat_net_with_linear()
     shard_over(monkeypatch, 2)
     assert shard_count(net) == 2
@@ -411,14 +410,45 @@ def test_sharded_training_keeps_pruned_weights_at_zero(two_cores, monkeypatch):
     assert moved > 0
 
 
+_PINNED_TRAINING = """
+import hashlib
+import json
+import os
+import sys
+
+os.sched_setaffinity(0, map(int, sys.argv[1:]))  # before numpy loads OpenBLAS
+import numpy as np
+from qprune.data import Dataset
+from qprune.models import build_network, model_spec
+from qprune.training import train
+
+spec = model_spec("conv2", "cifar10", "quat")
+net = build_network(spec, seed=0)
+images = np.random.default_rng(1).integers(0, 256, (20, *spec.input_shape), dtype=np.uint8)
+train(net, Dataset(images, np.arange(20) % 10, 10), np.random.default_rng(2), epochs=1, batch_size=10, lr=1e-3)
+digest = hashlib.sha256(b"".join(p.tensor.data.tobytes() for p in net.parameters())).hexdigest()
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "sha256": digest}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or training.blas_threads() is None, reason="needs 2 usable CPUs and OpenBLAS")
+def test_conv_training_gives_the_same_bits_on_one_cpu_and_on_two():
+    # two 10-image steps of conv2-quat, each in a child process pinned to its CPUs
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    one, two = (run_child(_PINNED_TRAINING, *cpus[:k], timeout=120) for k in (1, 2))
+    assert (one["cpus"], two["cpus"]) == (1, 2)
+    assert one["sha256"] == two["sha256"]
+
+
 # ---------------------------------------------------------------------------
 # sharded evaluation
 
 
 def shard_over(monkeypatch, shards):
-    """Make ``small_quat_conv_net`` shard over ``shards`` cores."""
+    """Make ``small_quat_conv_net`` shard in ``shards``."""
     monkeypatch.setattr(training, "SHARD_MIN_BYTES", 0)
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(shards)), raising=False)
+    monkeypatch.setattr(training, "SHARDS", shards)
 
 
 def eval_in_batches_of(monkeypatch, net, size):
@@ -427,7 +457,7 @@ def eval_in_batches_of(monkeypatch, net, size):
 
 
 @pytest.mark.parametrize("shards", [2, 3])
-def test_sharded_evaluation_matches_one_shard_in_float64(two_cores, monkeypatch, shards):
+def test_sharded_evaluation_matches_one_shard_in_float64(openblas_at_two_threads, monkeypatch, shards):
     net = small_quat_net_with_linear()
     data = synthetic_dataset(n=11, shape=(3, 4, 4), classes=3, seed=6)
     data.labels[:] = np.random.default_rng(7).integers(0, 3, 11)
@@ -454,7 +484,7 @@ def test_sharded_evaluation_matches_one_shard_in_float64(two_cores, monkeypatch,
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("n, size, lengths", [(50, 7, [7, 7] + [6] * 6), (12, 4, [4, 4, 4]), (3, 7, [3])])
 def test_eval_batches_are_equal_sized_and_cover_each_image_once_in_order(
-    two_cores, monkeypatch, shards, n, size, lengths
+    openblas_at_two_threads, monkeypatch, shards, n, size, lengths
 ):
     net = small_quat_conv_net()
     data = synthetic_dataset(n=n, shape=(3, 4, 4), classes=n, seed=8)
@@ -467,7 +497,7 @@ def test_eval_batches_are_equal_sized_and_cover_each_image_once_in_order(
     np.testing.assert_allclose(logits, net.forward(net.prepare_input(data.images)).data, rtol=1e-12, atol=0)
 
 
-def test_evaluation_restores_blas_threads_also_when_a_shard_raises(two_cores, monkeypatch):
+def test_evaluation_restores_blas_threads_also_when_a_shard_raises(openblas_at_two_threads, monkeypatch):
     net = small_quat_conv_net()
     data = synthetic_dataset(n=8, shape=(3, 4, 4), classes=3, seed=9)
     shard_over(monkeypatch, 2)
@@ -499,7 +529,7 @@ def slot_buffers():
     return {(slot, i): (id(buf), buf.size) for slot, bufs in T._SLOTS.items() for i, buf in bufs.items()}
 
 
-def test_no_evaluation_after_the_first_grows_a_slot_for_batches_as_long(two_cores, monkeypatch):
+def test_no_evaluation_after_the_first_grows_a_slot_for_batches_as_long(openblas_at_two_threads, monkeypatch):
     net = small_quat_net_with_linear()
     eval_in_batches_of(monkeypatch, net, 6)
     shard_over(monkeypatch, 2)
@@ -510,7 +540,7 @@ def test_no_evaluation_after_the_first_grows_a_slot_for_batches_as_long(two_core
     assert slot_buffers() == grown
 
 
-def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients(two_cores, monkeypatch):
+def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients(openblas_at_two_threads, monkeypatch):
     # inference reuses workspace slots 0 and 1; the taped forward, run in slot
     # 0's context, must not have lent them the arrays its backward reads
     net = small_quat_net_with_linear()
