@@ -6,16 +6,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, StateError
 
 
 class Adam:
     """Standard Adam with bias correction.
 
-    A parameter's pruning mask (``Param.mask``), where set, forces its
-    gradient and values at masked positions to zero at every step, so pruned
-    weights stay exactly 0 through retraining (their moment buffers never
-    accumulate either).
+    A parameter's pruning mask (``Param.mask``), where set, is read once, when
+    the optimizer is built: its masked values are set to 0 then, and at every
+    step its masked gradient entries are, so their moments stay 0, their
+    update is exactly 0 and pruned weights keep their bits through retraining.
+    A step raises ``StateError`` if a parameter's mask was replaced since.
 
     A step updates ``m``, ``v`` and the parameters in place and allocates no
     arrays: its temporaries live in two flat scratch buffers per dtype, as
@@ -40,6 +41,13 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        self.masks = [p.mask for p in self.params]
+        for p, pm in zip(self.params, self.masks):
+            if pm is not None:
+                if pm.shape != p.tensor.data.shape:
+                    raise DimensionError(f"adam: mask shape {pm.shape} does not match parameter {p.name} "
+                                         f"shape {p.tensor.data.shape}")
+                p.tensor.data *= pm
         self.m = [np.zeros_like(p.tensor.data) for p in self.params]
         self.v = [np.zeros_like(p.tensor.data) for p in self.params]
         longest: dict[np.dtype, int] = {}
@@ -55,7 +63,7 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for p, m, v, (s1, s2) in zip(self.params, self.m, self.v, self._scratch):
+        for p, pm, m, v, (s1, s2) in zip(self.params, self.masks, self.m, self.v, self._scratch):
             t = p.tensor
             g = t.grad
             if g is None:
@@ -66,13 +74,9 @@ class Adam:
                     f"adam: gradient/state shape {g.shape} does not match parameter "
                     f"{p.name} shape {t.data.shape}"
                 )
-            pm = p.mask
+            if p.mask is not pm:
+                raise StateError(f"adam: the mask of {p.name} was replaced after the optimizer was built")
             if pm is not None:
-                if pm.shape != t.data.shape:
-                    raise DimensionError(
-                        f"adam: mask shape {pm.shape} does not match parameter "
-                        f"{p.name} shape {t.data.shape}"
-                    )
                 g = np.multiply(g, pm, out=s1)
             np.multiply(g, 1.0 - b1, out=s2)
             m *= b1
@@ -89,6 +93,4 @@ class Adam:
             denom += self.eps
             update /= denom
             t.data -= update
-            if pm is not None:
-                t.data *= pm
             t.grad = None

@@ -9,24 +9,22 @@ float32 for training runs, float64 for gradient and property tests.
 With no active tape, the same operations run in inference mode and record
 nothing.  A tape and its tensors belong to a single training context; the
 active tape is tracked per-context (contextvars), so independent trials in
-separate threads never share state.  So is the inference workspace: in a
-context inside ``_inference_workspace(slot)``, with no tape active, the
-ops take the arrays they use only internally (``conv2d``'s padded input,
-output buffer and patch block, ``relu``'s mask, ``maxpool2d``'s partial
-maximum) from that slot's persistent buffers, so two contexts must never
-use one slot at the same time: only the shard threads of a sharded
-evaluation enter the slots, one per slot, while its caller holds the
-training module's shard lock.  Everywhere else (under a tape, and in
-serial inference) every array is fresh, and an op's output always is.
-The slot buffers are anonymous memory mappings, not heap blocks, so a slot
-may grow at any time, on first use or for a longer shard, without moving
-the malloc heap's top or leaving a hole in it.
+separate threads never share state.  The arrays an op uses only internally
+(``conv2d``'s padded input, output buffer and patch block, ``relu``'s mask,
+``maxpool2d``'s partial maximum) follow one rule: inference borrows them from
+the calling thread's buffers, kept for the life of the thread, and a tape gets
+fresh ones, since its backward pass reads them later.  A thread runs one op
+at a time and an op holds its buffers only until it returns, so no two ops
+ever share one.  An op's output is always fresh.  The buffers are anonymous
+memory mappings, not heap blocks, so they may grow at any time, on first use
+or for a longer batch, without moving the malloc heap's top or leaving a hole
+in it.
 """
 
 from __future__ import annotations
 
 import mmap
-from contextlib import contextmanager
+import threading
 from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
@@ -36,9 +34,7 @@ from .errors import DimensionError, StateError
 from .quaternion import Quaternion, as_matrix
 
 _ACTIVE_TAPE: ContextVar[Optional["Tape"]] = ContextVar("qprune_active_tape", default=None)
-# The buffers of the workspace slot in use, by index, as raw bytes.
-_WORKSPACE: ContextVar[Optional[dict[int, np.ndarray]]] = ContextVar("qprune_workspace", default=None)
-_SLOTS: dict[int, dict[int, np.ndarray]] = {}
+_THREAD = threading.local()  # .buffers: this thread's inference buffers, by index, as raw bytes
 
 
 class Tensor:
@@ -137,26 +133,15 @@ def active_tape() -> Optional[Tape]:
     return _ACTIVE_TAPE.get()
 
 
-@contextmanager
-def _inference_workspace(slot: int):
-    """Lend the inference ops of this context the scratch buffers of
-    workspace ``slot``, kept for the life of the process."""
-    token = _WORKSPACE.set(_SLOTS.setdefault(slot, {}))
-    try:
-        yield
-    finally:
-        _WORKSPACE.reset(token)
-
-
 def _lent() -> Optional[dict[int, np.ndarray]]:
-    """The buffers of this context's workspace slot in inference mode, else None."""
-    return _WORKSPACE.get() if _ACTIVE_TAPE.get() is None else None
+    """The calling thread's buffers in inference mode (made on first use), else None."""
+    return vars(_THREAD).setdefault("buffers", {}) if _ACTIVE_TAPE.get() is None else None
 
 
 def _scratch(index: int, shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialised array that an op uses only until it returns: in
-    inference mode inside ``_inference_workspace``, a view of the slot's
-    buffer ``index`` (ops share the buffers, one op takes each index once);
+    inference mode, a view of the calling thread's buffer ``index`` (ops
+    share the buffers, one op takes each index once);
     otherwise fresh, so that a tape may keep it.  A buffer too short for
     ``shape`` is replaced by a new anonymous mapping (at least one byte, as
     mmap needs), which leaves the malloc heap as it was."""
@@ -363,17 +348,17 @@ def quat_linear(x: Tensor, parts: Sequence[Tensor], *, b: Optional[Tensor] = Non
 # threads; at one, as the shards run, the backward pass of 30 images took
 # 90 ms at 1024 against 79 ms at 4096.
 CONV_BLOCK = 4096
-# In a workspace slot the patch block stays resident: at 1024 columns it is
-# 7 MB smaller per slot for the 64->64 conv, which lowered conv2-quat's peak
-# RSS by 14 MB (10 of 10 alternating perfbench pairs against 4096).
-SLOT_CONV_BLOCK = 1024
+# In inference the patch block stays resident: at 1024 columns it is 7 MB
+# smaller per thread for the 64->64 conv, which lowered conv2-quat's peak RSS
+# by 14 MB (10 of 10 alternating perfbench pairs against 4096).
+INFERENCE_CONV_BLOCK = 1024
 
 
 def _block_width(p: int) -> int:
-    """Columns per block for a [C, p] padded input: CONV_BLOCK, or
-    SLOT_CONV_BLOCK in a workspace slot, capped at ceil(p / 9) so that a
+    """Columns per block for a [C, p] padded input: CONV_BLOCK under a tape,
+    INFERENCE_CONV_BLOCK in inference, capped at ceil(p / 9) so that a
     [9C, width] patch block is no larger than the input."""
-    block = CONV_BLOCK if _lent() is None else SLOT_CONV_BLOCK
+    block = CONV_BLOCK if _ACTIVE_TAPE.get() is not None else INFERENCE_CONV_BLOCK
     return max(1, min(block, -(-p // 9)))
 
 

@@ -17,14 +17,14 @@ from .data import Dataset
 from .errors import NumericalError
 from .models import Network
 from .optim import Adam
-from .tensor import Tape, Tensor, _inference_workspace, softmax_cross_entropy
+from .tensor import Tape, Tensor, softmax_cross_entropy
 
 EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
-# Half of harness.MMAP_THRESHOLD_BYTES, so that the arrays of a whole-batch
-# evaluation stay on the resident heap: the largest, conv2d's
-# [F, N·(H+2)·(W+2)] buffer, is 1.13x the widest activation at 32x32.  A
-# sharded evaluation splits each batch into shards, and each shard keeps
-# that buffer in its inference workspace slot, mapped outside the heap.
+# Half of harness.MMAP_THRESHOLD_BYTES, so that the fresh arrays of a
+# whole-batch evaluation stay on the resident heap.  The largest array,
+# conv2d's [F, N·(H+2)·(W+2)] buffer (1.13x the widest activation at 32x32),
+# is one of the inference buffers of the thread that runs the batch or shard,
+# mapped outside the heap.
 EVAL_BATCH_BYTES = 16 * 1024 * 1024
 # Per-image bytes of the widest activation from which batches are split into
 # SHARDS shards: a conv net at 32x32 has 256 KiB, a LeNet at most 3.1 KiB.
@@ -56,8 +56,10 @@ def blas_threads() -> Optional[int]:
     return _openblas()[0]()
 
 
-_SHARD_POOL = ThreadPoolExecutor(max_workers=SHARDS, thread_name_prefix="qprune-shard")
-_SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the pool
+# Shard i runs on thread i mod SHARDS, so each thread's inference buffers are
+# sized by the shards of its position, the longer ones on the first thread.
+_SHARD_THREADS = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"qprune-shard{i}") for i in range(SHARDS)]
+_SHARD_LOCK = threading.Lock()  # one batch's shards at a time: they fill the threads
 
 
 def shard_count(net: Network) -> int:
@@ -84,15 +86,15 @@ def _spans(n: int, parts: int) -> list[slice]:
 
 
 def _on_shards(fn, calls: list[tuple]) -> list:
-    """``fn(*args)`` for each ``args`` in ``calls``, run at once in the shard
-    pool at one OpenBLAS thread; returns the results in order once all have
-    returned, or raises the first call's exception."""
+    """``fn(*args)`` for each ``args`` in ``calls``, call i on shard thread i
+    mod SHARDS, at one OpenBLAS thread; returns the results in order once all
+    have returned, or raises the first call's exception."""
     with _SHARD_LOCK:
         get, put = _openblas()
         saved = get()
         put(1)  # process-wide: keeps each shard's GEMMs on its core
         try:
-            futures = [_SHARD_POOL.submit(fn, *args) for args in calls]
+            futures = [_SHARD_THREADS[i % len(_SHARD_THREADS)].submit(fn, *args) for i, args in enumerate(calls)]
             wait(futures)
         finally:
             put(saved)
@@ -104,7 +106,7 @@ def backward_batch(net: Network, replicas: list[Network], images: np.ndarray, la
     loss.  A non-finite loss is returned without a backward pass.
 
     With replicas, as many contiguous shards (fewer for a smaller batch),
-    the longer first, run on them in the shard pool at one OpenBLAS thread.
+    the longer first, run on them in the shard threads at one OpenBLAS thread.
     Once all have returned, each gradient is the sum, in shard order, of the
     shard gradients times their shares of the batch."""
     if not replicas:
@@ -165,21 +167,19 @@ def eval_batch_size(net: Network) -> int:
     return max(1, EVAL_BATCH_BYTES // per_image)
 
 
-def _shard_logits(net: Network, images: np.ndarray, slot: int) -> np.ndarray:
-    """Inference-mode logits of one shard, computed in workspace ``slot``."""
-    with _inference_workspace(slot):
-        return net.forward(net.prepare_input(images)).data
+def _logits(net: Network, images: np.ndarray) -> np.ndarray:
+    """Inference-mode logits of an image batch, on the calling thread."""
+    return net.forward(net.prepare_input(images)).data
 
 
 def inference_logits(net: Network, images: np.ndarray, shards: int) -> np.ndarray:
     """Inference-mode logits of an image batch.  With several shards, as
     many contiguous shards (fewer for a smaller batch) run on ``net`` in the
-    shard pool at one OpenBLAS thread, each in the inference workspace slot
-    of its position, and their logits are joined in shard order."""
+    shard threads at one OpenBLAS thread, and their logits are joined in
+    shard order."""
     if shards == 1:
-        return net.forward(net.prepare_input(images)).data
-    calls = [(net, images[s], slot) for slot, s in enumerate(_spans(len(images), shards))]
-    return np.concatenate(_on_shards(_shard_logits, calls))
+        return _logits(net, images)
+    return np.concatenate(_on_shards(_logits, [(net, images[s]) for s in _spans(len(images), shards)]))
 
 
 def _batch_logits(net: Network, data: Dataset) -> Iterator[tuple[Tensor, np.ndarray]]:

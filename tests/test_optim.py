@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ops
-from qprune.errors import DimensionError
+from qprune.errors import DimensionError, StateError
 from qprune.layers import Param
 from qprune.optim import Adam
 from qprune.tensor import Tape, Tensor
@@ -100,6 +100,20 @@ def test_mask_shape_mismatch():
     p.tensor.grad = np.ones(4)
     with pytest.raises(DimensionError):
         Adam([p], lr=0.1).step()
+
+
+KEEP = np.array([1, 0, 1, 1], dtype=np.uint8)
+
+
+# a mask is the array the optimizer was built with, not one with equal entries
+@pytest.mark.parametrize("first, second", [(KEEP, KEEP.copy()), (None, KEEP), (KEEP, None)])
+def test_step_refuses_a_mask_replaced_after_the_optimizer_was_built(first, second):
+    p = Param("w", Tensor(np.ones(4), requires_grad=True), True, mask=first)
+    opt = Adam([p], lr=0.1)
+    p.mask = second
+    p.tensor.grad = np.ones(4)
+    with pytest.raises(StateError, match="mask of w"):
+        opt.step()
 
 
 def test_state_invariants_hold_across_steps():

@@ -1,7 +1,9 @@
 import itertools
 import math
 import platform
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -236,8 +238,10 @@ def test_conv2d_block_boundaries(shape, blocks, monkeypatch):
     elif blocks == "partial":
         assert span > 4 and span % 4
         monkeypatch.setattr(T, "CONV_BLOCK", 4)
+        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 4)
     else:
         monkeypatch.setattr(T, "CONV_BLOCK", 1)
+        monkeypatch.setattr(T, "INFERENCE_CONV_BLOCK", 1)
     n, _, _, h, w = shape
     assert (T._block_width(n * (h + 2) * (w + 2)) >= span) == (blocks == "one")
     check_conv_forward(shape)
@@ -246,46 +250,68 @@ def test_conv2d_block_boundaries(shape, blocks, monkeypatch):
 
 
 def test_conv2d_block_width_rule():
-    # 4096 columns, capped at ceil(P / 9) so a [9C, width] block is no
-    # larger than the [C, P] padded input.
-    assert T._block_width(60 * 34 * 34) == 4096
-    assert T._block_width(8 * 34 * 34) == 1028
-    assert T._block_width(10) == 2
-    assert T._block_width(1) == 1
-    assert T._block_width(0) == 1
+    # Under a tape, 4096 columns, capped at ceil(P / 9) so a [9C, width]
+    # block is no larger than the [C, P] padded input.
+    with Tape():
+        assert T._block_width(60 * 34 * 34) == 4096
+        assert T._block_width(8 * 34 * 34) == 1028
+        assert T._block_width(10) == 2
+        assert T._block_width(1) == 1
+        assert T._block_width(0) == 1
 
 
 def test_conv2d_block_width_in_a_workspace_slot():
-    # a slot's patch block stays resident, so it is 1024 columns wide, with
-    # the same cap; a taped conv in the slot's context keeps 4096
-    with T._inference_workspace(0):
-        assert T._block_width(60 * 34 * 34) == 1024
-        assert T._block_width(2 * 34 * 34) == 257
-        with Tape():
-            assert T._block_width(60 * 34 * 34) == 4096
-    assert T._block_width(60 * 34 * 34) == 4096
+    # inference keeps its patch block in the thread's buffers, so it is 1024
+    # columns wide, with the same cap; a taped conv on the same thread keeps 4096
+    assert T._block_width(60 * 34 * 34) == 1024
+    assert T._block_width(2 * 34 * 34) == 257
+    with Tape():
+        assert T._block_width(60 * 34 * 34) == 4096
+    assert T._block_width(60 * 34 * 34) == 1024
 
 
 def test_inference_outputs_in_a_workspace_slot_are_fresh():
-    # two calls in one slot: the second reuses the slot's buffers, and must
-    # leave the first call's outputs as they were
+    # two calls on one thread: the second reuses the thread's buffers, and
+    # must leave the first call's outputs as they were
     rng = np.random.default_rng(30)
     k, b = Tensor(rng.standard_normal((5, 3, 3, 3))), Tensor(rng.standard_normal(5))
     x1, x2 = (Tensor(rng.standard_normal((2, 3, 4, 6))) for _ in range(2))
-    with T._inference_workspace(0):
-        outs = [T.conv2d(x1, k, b=b)]
-        outs += [T.relu(outs[0]), T.maxpool2d(outs[0])]
-        kept = [o.data.copy() for o in outs]
-        T.conv2d(x2, k, b=b)
-        T.maxpool2d(T.relu(T.conv2d(x2, k)))
-    assert set(T._SLOTS[0]) == {0, 1, 2}
+    outs = [T.conv2d(x1, k, b=b)]
+    outs += [T.relu(outs[0]), T.maxpool2d(outs[0])]
+    kept = [o.data.copy() for o in outs]
+    T.conv2d(x2, k, b=b)
+    T.maxpool2d(T.relu(T.conv2d(x2, k)))
+    assert set(T._lent()) == {0, 1, 2}
     for out, before in zip(outs, kept):
         np.testing.assert_array_equal(out.data, before)
-        assert not any(np.shares_memory(out.data, buf) for buf in T._SLOTS[0].values())
+        assert not any(np.shares_memory(out.data, buf) for buf in T._lent().values())
     np.testing.assert_allclose(kept[0], conv2d_reference(x1.data, k.data) + b.data[:, None, None], rtol=1e-12)
 
 
-_SLOT_HEAP_PROBE = """
+def test_each_thread_lends_its_own_buffers_to_inference():
+    # a plain thread starts with no buffers, its first inference conv makes
+    # them, and two threads alive at once get different ones; a tape gets none
+    rng = np.random.default_rng(32)
+    x, k = Tensor(rng.standard_normal((2, 3, 4, 6))), Tensor(rng.standard_normal((5, 3, 3, 3)))
+    barrier = threading.Barrier(2, timeout=30)
+
+    def infer():
+        before = dict(T._lent())
+        T.conv2d(x, k)
+        with Tape():
+            assert T._lent() is None
+        barrier.wait()  # both threads alive at once, so they are two
+        return threading.get_ident(), before, T._lent()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        (ident_a, before_a, a), (ident_b, before_b, b) = [f.result() for f in [pool.submit(infer) for _ in "ab"]]
+    assert ident_a != ident_b and before_a == before_b == {}
+    assert set(a) == set(b) == {0, 1, 2}
+    assert a[0].size >= 5 * 2 * 6 * 8 * 8  # the [F, P] output buffer, in float64
+    assert not any(np.shares_memory(buf_a, buf_b) for buf_a in a.values() for buf_b in b.values())
+
+
+_BUFFER_HEAP_PROBE = """
 import ctypes
 import json
 import numpy as np
@@ -299,11 +325,10 @@ class Mallinfo2(ctypes.Structure):
 mallinfo2 = ctypes.CDLL(None).mallinfo2
 mallinfo2.argtypes, mallinfo2.restype = [], Mallinfo2
 assert keep_heap_resident()
-with T._inference_workspace(0):
-    T._scratch(0, (2**20,), np.uint8)[:] = 1
-    before = mallinfo2().arena
-    T._scratch(0, (17 * 2**20,), np.uint8)[:] = 1
-    print(json.dumps({"before": before, "after": mallinfo2().arena}))
+T._scratch(0, (2**20,), np.uint8)[:] = 1  # in inference mode: this thread's buffer 0
+before = mallinfo2().arena
+T._scratch(0, (17 * 2**20,), np.uint8)[:] = 1
+print(json.dumps({"before": before, "after": mallinfo2().arena}))
 """
 
 
@@ -311,9 +336,9 @@ with T._inference_workspace(0):
                     reason="mallinfo2 is glibc's, from 2.33")
 def test_growing_a_slot_buffer_leaves_the_malloc_heap_as_it_was():
     # Under the heap policy a 16 MiB block would come from the heap, whose
-    # size the policy never gives back; a slot's buffers are mapped instead.
+    # size the policy never gives back; a thread's buffers are mapped instead.
     # The policy is process-wide, so it is measured in a child process.
-    arena = run_child(_SLOT_HEAP_PROBE, timeout=60)
+    arena = run_child(_BUFFER_HEAP_PROBE, timeout=60)
     assert arena["after"] == arena["before"], arena
 
 

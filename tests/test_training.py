@@ -467,17 +467,16 @@ def test_sharded_evaluation_matches_one_shard_in_float64(openblas_at_two_threads
     shard_over(monkeypatch, shards)
     assert shard_count(net) == shards
     seen = []
-    shard_logits = training._shard_logits
+    logits = training._logits
 
-    def spy(net, images, slot):
-        seen.append((slot, len(images)))
-        return shard_logits(net, images, slot)
+    def spy(net, images):
+        seen.append(len(images))
+        return logits(net, images)
 
-    monkeypatch.setattr(training, "_shard_logits", spy)
+    monkeypatch.setattr(training, "_logits", spy)
     assert evaluate_accuracy(net, data) == want[0]
     assert evaluate_loss(net, data) == pytest.approx(want[1], rel=1e-12, abs=0)
-    plan = {2: [(0, 2), (1, 2), (0, 2), (1, 2), (0, 2), (1, 1)],
-            3: [(0, 2), (1, 1), (2, 1), (0, 2), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1)]}[shards]
+    plan = {2: [2, 2, 2, 2, 2, 1], 3: [2, 1, 1, 2, 1, 1, 1, 1, 1]}[shards]
     assert sorted(seen) == sorted(plan * 2)  # two evaluations
 
 
@@ -503,30 +502,35 @@ def test_evaluation_restores_blas_threads_also_when_a_shard_raises(openblas_at_t
     shard_over(monkeypatch, 2)
     before = training.blas_threads()
     seen = []
-    shard_logits = training._shard_logits
+    logits = training._logits
 
-    def spy(net, images, slot):
+    def spy(net, images):
         seen.append(training.blas_threads())
-        return shard_logits(net, images, slot)
+        return logits(net, images)
 
-    monkeypatch.setattr(training, "_shard_logits", spy)
+    monkeypatch.setattr(training, "_logits", spy)
     evaluate_accuracy(net, data)
     assert seen == [1] * 2
     assert training.blas_threads() == before
 
-    def fail_in_slot_1(net, images, slot):
-        if slot == 1:
+    def fail_the_last_shard(net, images):
+        if np.shares_memory(images, data.images[-1]):
             raise FloatingPointError("shard 1")
-        return shard_logits(net, images, slot)
+        return logits(net, images)
 
-    monkeypatch.setattr(training, "_shard_logits", fail_in_slot_1)
+    monkeypatch.setattr(training, "_logits", fail_the_last_shard)
     with pytest.raises(FloatingPointError, match="shard 1"):
         evaluate_accuracy(net, data)
     assert training.blas_threads() == before
 
 
-def slot_buffers():
-    return {(slot, i): (id(buf), buf.size) for slot, bufs in T._SLOTS.items() for i, buf in bufs.items()}
+def pool_workspaces() -> list[dict]:
+    """The inference buffers of each shard thread, read on that thread."""
+    return [thread.submit(T._lent).result(timeout=30) for thread in training._SHARD_THREADS]
+
+
+def pool_buffers():
+    return {(k, i): (id(buf), buf.size) for k, bufs in enumerate(pool_workspaces()) for i, buf in bufs.items()}
 
 
 def test_no_evaluation_after_the_first_grows_a_slot_for_batches_as_long(openblas_at_two_threads, monkeypatch):
@@ -534,15 +538,38 @@ def test_no_evaluation_after_the_first_grows_a_slot_for_batches_as_long(openblas
     eval_in_batches_of(monkeypatch, net, 6)
     shard_over(monkeypatch, 2)
     evaluate_accuracy(net, synthetic_dataset(n=11, shape=(3, 4, 4), classes=3, seed=12))  # batches of 6 and 5
-    grown = slot_buffers()
+    grown = pool_buffers()
     for n in (11, 7, 5, 2):  # at most six images per batch
         evaluate_accuracy(net, synthetic_dataset(n=n, shape=(3, 4, 4), classes=3, seed=n))
-    assert slot_buffers() == grown
+    assert pool_buffers() == grown
+
+
+def test_a_three_shard_evaluation_leaves_one_workspace_per_pool_thread(openblas_at_two_threads, monkeypatch):
+    # the two shard threads run the three shards, shard i on thread i mod 2,
+    # each in its own buffers, so the workspaces follow the threads, not the
+    # shard count, and the first thread's fit the longer shards
+    net = small_quat_conv_net()
+    shard_over(monkeypatch, 3)
+    used = []
+    logits = training._logits
+
+    def spy(net, images):
+        out = logits(net, images)
+        used.append((len(images), T._lent()))
+        return out
+
+    monkeypatch.setattr(training, "_logits", spy)
+    evaluate_accuracy(net, synthetic_dataset(n=7, shape=(3, 4, 4), classes=3, seed=13))  # shards of 3, 2 and 2
+    thread_of = {id(w): k for k, w in enumerate(pool_workspaces())}
+    assert len(thread_of) == 2
+    assert sorted((thread_of[id(w)], n) for n, w in used) == [(0, 2), (0, 3), (1, 2)]
+    assert all(set(w) == {0, 1, 2} for _, w in used)
 
 
 def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients(openblas_at_two_threads, monkeypatch):
-    # inference reuses workspace slots 0 and 1; the taped forward, run in slot
-    # 0's context, must not have lent them the arrays its backward reads
+    # inference reuses the buffers of the shard threads and of this thread;
+    # the taped forward, run on this thread, must not have lent them the
+    # arrays its backward reads
     net = small_quat_net_with_linear()
     rng = np.random.default_rng(10)
     images, labels = rng.random((6, 3, 4, 4)), rng.integers(0, 3, 6)
@@ -550,11 +577,10 @@ def test_evaluation_between_a_taped_forward_and_its_backward_keeps_the_gradients
     shard_over(monkeypatch, 2)
     backward_batch(net, [], images, labels)
     want = take_grads(net)
-    with T._inference_workspace(0):
-        with Tape() as tape:
-            loss = softmax_cross_entropy(net.forward(net.prepare_input(images)), labels)
-        evaluate_accuracy(net, data)  # on the shard threads, in slots 0 and 1
-        net.forward(net.prepare_input(data.images))  # in slot 0, on this thread
-        tape.backward(loss)
+    with Tape() as tape:
+        loss = softmax_cross_entropy(net.forward(net.prepare_input(images)), labels)
+    evaluate_accuracy(net, data)  # on the shard threads, in their buffers
+    net.forward(net.prepare_input(data.images))  # on this thread, in its buffers
+    tape.backward(loss)
     for g, w in zip(take_grads(net), want):
         np.testing.assert_array_equal(g, w)
