@@ -34,16 +34,16 @@ LUMA_R, LUMA_G, LUMA_B = 0.299, 0.587, 0.114
 
 @dataclass
 class Dataset:
-    """Images [N,C,H,W] plus integer class labels.  The images are either u8
-    pixels, as the loaders return them, or floats in [0,1]."""
+    """Images plus integer class labels: u8 pixels [N,C,H,W], as the loaders
+    return them, or floats in [0,1], raw or packed (``models.prepare_images``)."""
 
     images: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        if self.images.ndim != 4:
-            raise DimensionError(f"images must be [N,C,H,W], got shape {self.images.shape}")
+        if self.images.ndim not in (2, 4):
+            raise DimensionError(f"images must be [N,C,H,W] or packed [N,D], got shape {self.images.shape}")
         if self.labels.shape != (self.images.shape[0],):
             raise DataFormatError(
                 f"label count {self.labels.shape} does not match image count {self.images.shape[0]}"
@@ -60,13 +60,6 @@ class Dataset:
     def subset(self, n: int) -> "Dataset":
         """A copy of the first n examples (the reduced-train smoke profile), so the rest can be freed."""
         return Dataset(self.images[:n].copy(), self.labels[:n].copy(), self.num_classes)
-
-    def scaled(self) -> "Dataset":
-        """This dataset with u8 images scaled by ``scale_pixels``; a float
-        dataset is returned as it is."""
-        if self.images.dtype != np.uint8:
-            return self
-        return Dataset(scale_pixels(self.images), self.labels, self.num_classes)
 
     def memory(self) -> dict:
         """Image count, pixel dtype and the MB held by the buffer the images

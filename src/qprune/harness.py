@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, load_cifar, load_mnist, split_train_validation
 from .errors import ConfigError, NumericalError
-from .models import ModelSpec, build_network, count_parameters, model_spec
+from .models import ModelSpec, build_network, count_parameters, model_spec, prepare_images
 from .pruning import RoundResult, iterative_lottery
 from .training import blas_threads, evaluate_accuracy, shard_count, train
 
@@ -179,7 +179,7 @@ def _environment(result: AggregateResult) -> dict:
 
 def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """The training split as loaded (u8 pixels, scaled per batch as it is
-    drawn) and the test split scaled once, since every evaluation reads it
+    drawn) and the test split packed once, since every evaluation reads it
     whole."""
     if config.dataset == "mnist":
         train_set, test_set = load_mnist(config.data_dir)
@@ -195,16 +195,23 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"early stopping needs at least 2 training images for a validation split, got {len(train_set)}"
         )
-    return train_set, test_set.scaled()
+    return train_set, pack_split(config.spec(), test_set)
+
+
+def pack_split(spec: ModelSpec, data: Dataset) -> Dataset:
+    """``data`` packed for ``spec`` in float32, read-only: evaluations and trials share its rows."""
+    images = prepare_images(spec, data.images, np.float32)
+    images.setflags(write=False)
+    return Dataset(images, data.labels, data.num_classes)
 
 
 def _data_memory(config: ExperimentConfig, train_set: Dataset, test_set: Dataset) -> dict:
-    """``Dataset.memory()`` of each split; early stopping adds the scaled
+    """``Dataset.memory()`` of each split; early stopping adds the packed
     validation split each trial holds."""
     memory = {"train": train_set.memory(), "test": test_set.memory()}
     if config.early_stop:
         n = _validation_size(len(train_set))
-        one = train_set.subset(1).scaled().images
+        one = pack_split(config.spec(), train_set.subset(1)).images
         memory["validation"] = {"images": n, "dtype": str(one.dtype), "mb": round(n * one.nbytes / 1e6, 3)}
     return memory
 
@@ -237,7 +244,7 @@ def run_trial(
     if config.early_stop:
         vs = _validation_size(len(train_full))
         train_set, validation = split_train_validation(train_full, vs, seed)
-        validation = validation.scaled()  # read whole every EVAL_EVERY_STEPS steps
+        validation = pack_split(config.spec(), validation)  # read whole every EVAL_EVERY_STEPS steps
 
     net = build_network(config.spec(), rng=rng)
 

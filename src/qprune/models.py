@@ -71,6 +71,12 @@ class ModelSpec:
     def input_shape(self) -> tuple[int, int, int]:
         return _DATASETS[self.dataset][0]
 
+    @cached_property
+    def packed_shape(self) -> tuple[int, ...]:
+        """One image as the first layer reads it: MNIST flat, CIFAR as planes, gray fourth if quat."""
+        c, h, w = self.input_shape
+        return (c * h * w,) if self.dataset == "mnist" else (4 if self.field == "quat" else c, h, w)
+
 
 def model_spec(name: str, dataset: str, field: str) -> ModelSpec:
     """Resolve a (model, dataset, field) triple to its full descriptor."""
@@ -131,30 +137,30 @@ class Network:
         return widest
 
     def prepare_input(self, images: np.ndarray) -> Tensor:
-        """Adapt a raw [N,C,H,W] image batch to this network's input layout."""
+        """Adapt an image batch to this network's input layout (``prepare_images``)."""
         data = prepare_images(self.spec, images, self.dtype)
         return Tensor(data)
 
 
 def prepare_images(spec: ModelSpec, images: np.ndarray, dtype) -> np.ndarray:
-    """A raw [N,C,H,W] batch in ``dtype``, packed for ``spec``'s input layer.
-    A u8 batch is first scaled by ``scale_pixels`` (float32 ``u / 255``), as
-    ``Dataset.scaled`` scales a split, so it packs to the bits of its scaled copy."""
-    if images.ndim != 4:
-        raise DimensionError(f"expected [N,C,H,W] images, got shape {images.shape}")
+    """``images`` in ``dtype`` and ``spec.packed_shape``: a raw [N,C,H,W] batch is packed, and a
+    packed one in ``dtype`` is returned as it is.  A u8 batch is scaled by ``scale_pixels``
+    (float32 ``u / 255``), so it packs to the bits of its scaled copy."""
+    packed = images.shape[1:] == spec.packed_shape
+    if not packed and images.ndim != 4:
+        layout = ",".join(map(str, spec.packed_shape))
+        raise DimensionError(f"expected [N,C,H,W] images or packed [N,{layout}], got shape {images.shape}")
+    if not packed and spec.dataset == "mnist":  # packed before scaling: a u8 copy moves a quarter of the bytes
+        n = images.shape[0]
+        images = images.reshape(n, -1)  # raster order
+        if spec.field == "quat":  # four consecutive pixels per quaternion, regrouped into component planes
+            images = images.reshape(n, -1, 4).transpose(0, 2, 1).reshape(n, -1)
     if images.dtype == np.uint8:
         images = scale_pixels(images)
     images = images.astype(dtype, copy=False)
-    n = images.shape[0]
-    if spec.dataset == "mnist":
-        flat = images.reshape(n, -1)  # raster order
-        if spec.field == "real":
-            return flat
-        # four consecutive pixels per quaternion, regrouped into component planes
-        return flat.reshape(n, flat.shape[1] // 4, 4).transpose(0, 2, 1).reshape(n, -1)
-    if spec.field == "real":
+    if images.shape[1:] == spec.packed_shape:
         return images
-    return add_grayscale_channel(images)
+    return add_grayscale_channel(images)  # the luma of the scaled pixels, in dtype
 
 
 def _conv_stack(spec: ModelSpec, rng: np.random.Generator, dtype) -> tuple[list[Layer], int]:

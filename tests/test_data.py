@@ -20,6 +20,7 @@ from qprune.data import (
     add_grayscale_channel,
     load_cifar,
     load_mnist,
+    scale_pixels,
     split_train_validation,
 )
 from qprune.errors import DataFormatError, DimensionError
@@ -36,10 +37,10 @@ def test_load_mnist_synthetic_roundtrip(tmp_path):
     assert train.images.shape == (50, 1, 28, 28)
     assert train.images.dtype == np.uint8
     assert not train.images.flags.writeable  # a view of the file's bytes
-    scaled = train.scaled()
-    assert scaled.images.dtype == np.float32
-    assert scaled.images.min() >= 0.0 and scaled.images.max() <= 1.0
-    assert scaled.labels is train.labels and train.num_classes == 10
+    scaled = scale_pixels(train.images)
+    assert scaled.dtype == np.float32
+    assert scaled.min() >= 0.0 and scaled.max() <= 1.0
+    assert train.num_classes == 10
 
 
 def test_loading_allocates_less_than_the_float32_set(tmp_path):
@@ -81,7 +82,7 @@ def test_idx_pixel_scaling_is_exact(tmp_path):
     train, _ = load_mnist(str(tmp_path))
     assert train.images.dtype == np.uint8
     np.testing.assert_array_equal(train.images.reshape(-1)[:256], EVERY_BYTE)
-    scaled = train.scaled().images
+    scaled = scale_pixels(train.images)
     assert scaled.dtype == np.float32
     np.testing.assert_array_equal(scaled.reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
     assert train.labels[0] == 3
@@ -97,7 +98,7 @@ def test_cifar_pixel_scaling_is_exact(tmp_path):
     train, _ = load_cifar(str(tmp_path), 10)
     assert train.images.dtype == np.uint8
     np.testing.assert_array_equal(train.images[0].reshape(-1)[:256], EVERY_BYTE)
-    scaled = train.scaled().images
+    scaled = scale_pixels(train.images)
     assert scaled.dtype == np.float32
     np.testing.assert_array_equal(scaled[0].reshape(-1)[:256], EVERY_BYTE.astype(np.float32) / 255.0)
 
@@ -204,7 +205,7 @@ def test_cifar10_channel_major_layout(tmp_path):
     train, _ = load_cifar(str(tmp_path), 10)
     assert train.labels[0] == 5
     assert train.images[0, :, 0, 0].tolist() == [255, 128, 64]
-    scaled = train.scaled().images
+    scaled = scale_pixels(train.images)
     assert scaled[0, 0, 0, 0] == np.float32(1.0)
     assert scaled[0, 1, 0, 0] == np.float32(128 / 255)
     assert scaled[0, 2, 0, 0] == np.float32(64 / 255)
@@ -330,9 +331,12 @@ def test_loading_twice_is_bit_identical(tmp_path):
     np.testing.assert_array_equal(a_test.labels, b_test.labels)
 
 
-def test_scaled_passes_a_float_dataset_through():
-    ds = make_dataset(4)
-    assert ds.scaled() is ds
+def test_dataset_accepts_packed_images_and_refuses_1d_and_3d_ones():
+    labels = np.arange(3)
+    assert Dataset(np.zeros((3, 784), dtype=np.float32), labels, 10).images.shape == (3, 784)
+    for shape in [(3,), (3, 28, 28)]:
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\] or packed \[N,D\]"):
+            Dataset(np.zeros(shape, dtype=np.float32), labels, 10)
 
 
 def test_dataset_rejects_out_of_range_labels():

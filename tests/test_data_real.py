@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qprune.data import load_cifar, load_mnist
+from qprune.data import load_cifar, load_mnist, scale_pixels
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def test_mnist_label_balance(mnist):
 def test_mnist_pixel_range(mnist):
     train, _ = mnist
     assert (int(train.images.min()), int(train.images.max())) == (0, 255)
-    scaled = train.scaled().images
+    scaled = scale_pixels(train.images)
     assert float(scaled.min()) == 0.0
     assert float(scaled.max()) == 1.0
 

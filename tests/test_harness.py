@@ -12,6 +12,7 @@ import pytest
 import qprune.harness as harness
 import qprune.training as training
 from conftest import make_cifar10_files, make_mnist_files, run_child, synthetic_dataset
+from qprune.data import Dataset, scale_pixels
 from qprune.errors import ConfigError, NumericalError
 from qprune.harness import (
     AggregateResult,
@@ -21,6 +22,7 @@ from qprune.harness import (
     run_experiment,
     run_trial,
 )
+from qprune.models import build_network, model_spec
 from qprune.pruning import RoundResult
 
 
@@ -211,30 +213,71 @@ def test_a_train_subset_run_reports_only_the_subset_held(tmp_path):
     assert train == {"images": 40, "dtype": "uint8", "mb": round(40 * 784 / 1e6, 3)}  # not the 120-image file
 
 
+def scaled(data: Dataset) -> Dataset:
+    return Dataset(scale_pixels(data.images), data.labels, data.num_classes)
+
+
 @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
-def test_u8_splits_give_the_csv_bytes_of_their_scaled_copies(tmp_path, monkeypatch, dataset):
+def test_u8_splits_give_the_csv_bytes_of_their_scaled_copies(tmp_path, monkeypatch, request, dataset):
     # early stopping with a validation evaluation after every step
     monkeypatch.setattr(training, "EVAL_EVERY_STEPS", 1)
     if dataset == "mnist":
         make_mnist_files(tmp_path / "data", n_train=120, n_test=30)
         config = tiny_config(field="quat", data_dir=str(tmp_path / "data"), early_stop=True, rounds=1)
     else:
+        request.getfixturevalue("openblas_at_two_threads")
         make_cifar10_files(tmp_path / "data", per_batch=8)
         config = tiny_conv_config(tmp_path / "data", early_stop=True)
-    emit_results(run_experiment(config), str(tmp_path / "u8"))
+    spec = config.spec()
+    evaluated = []  # per-image shape of every batch or shard evaluated
+    logits = training._logits
+
+    def spy(net, images):
+        evaluated.append(images.shape[1:])
+        return logits(net, images)
+
+    monkeypatch.setattr(training, "_logits", spy)
+    agg = run_experiment(config)
+    assert agg.shards == (1 if dataset == "mnist" else 2)
+    emit_results(agg, str(tmp_path / "u8"))
+    assert set(evaluated) == {spec.packed_shape}
+    # every split scaled, and the evaluated ones left unpacked: each batch is packed as it is evaluated
+    evaluated.clear()
     load = harness.load_datasets
-    monkeypatch.setattr(harness, "load_datasets", lambda c: tuple(d.scaled() for d in load(c)))
+
+    def load_scaled(c):
+        train_set, test_set = load(c)
+        return scaled(train_set), test_set
+
+    monkeypatch.setattr(harness, "pack_split", lambda spec, data: scaled(data))
+    monkeypatch.setattr(harness, "load_datasets", load_scaled)
     emit_results(run_experiment(config), str(tmp_path / "scaled"))
+    assert set(evaluated) == {spec.input_shape}
     assert csv_bytes(tmp_path / "u8") == csv_bytes(tmp_path / "scaled")
 
     data = json.loads((tmp_path / "u8" / "manifest.json").read_text())["data"]
-    n_train, pixels = (120, 784) if dataset == "mnist" else (20, 3072)
+    n_train, n_test, values = (120, 30, 784) if dataset == "mnist" else (20, 8, 4096)  # 4096: R, G, B and gray planes
     n_val = n_train // 5
     assert data["train"]["images"] == n_train and data["train"]["dtype"] == "uint8"
-    assert data["test"]["dtype"] == "float32"
-    assert data["validation"] == {"images": n_val, "dtype": "float32", "mb": round(n_val * pixels * 4 / 1e6, 3)}
-    scaled = json.loads((tmp_path / "scaled" / "manifest.json").read_text())["data"]
-    assert scaled["train"]["dtype"] == "float32" and scaled["train"]["mb"] > data["train"]["mb"]
+    assert data["test"] == {"images": n_test, "dtype": "float32", "mb": round(n_test * values * 4 / 1e6, 3)}
+    assert data["validation"] == {"images": n_val, "dtype": "float32", "mb": round(n_val * values * 4 / 1e6, 3)}
+    scaled_data = json.loads((tmp_path / "scaled" / "manifest.json").read_text())["data"]
+    assert scaled_data["train"]["dtype"] == "float32" and scaled_data["train"]["mb"] > data["train"]["mb"]
+
+
+@pytest.mark.parametrize("model, dataset", [("lenet300", "mnist"), ("conv2", "cifar10")])
+def test_a_packed_split_is_read_only_and_evaluation_leaves_its_bytes(openblas_at_two_threads, model, dataset):
+    spec = model_spec(model, dataset, "quat")
+    u8 = np.random.default_rng(3).integers(0, 256, (5, *spec.input_shape), dtype=np.uint8)
+    split = harness.pack_split(spec, Dataset(u8, np.arange(5), 10))
+    before = split.images.tobytes()
+    net = build_network(spec, seed=0)
+    assert training.shard_count(net) == (1 if dataset == "mnist" else 2)
+    training.evaluate_accuracy(net, split)
+    training.evaluate_loss(net, split)
+    assert split.images.tobytes() == before
+    with pytest.raises(ValueError, match="read-only"):
+        split.images[0, 0] = 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

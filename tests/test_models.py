@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qprune import tensor as T
-from qprune.errors import ConfigError
+from qprune.data import scale_pixels
+from qprune.errors import ConfigError, DimensionError
 from qprune.layers import Conv2d, Linear, MaxPool2d, QuatConv2d, QuatLinear, ReLU
 from qprune.models import (
     ALLOWED_DATASETS,
@@ -211,6 +214,43 @@ def test_u8_batch_packs_to_the_bits_of_its_scaled_copy(model, dataset, field, dt
     got = prepare_images(spec, u8, dtype)
     assert got.dtype == want.dtype == dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+LAYOUTS = [
+    ("lenet300", "mnist", "real", (784,)),
+    ("lenet300", "mnist", "quat", (784,)),
+    ("conv2", "cifar10", "real", (3, 32, 32)),
+    ("conv2", "cifar10", "quat", (4, 32, 32)),
+]
+
+
+@pytest.mark.parametrize("model, dataset, field, layout", LAYOUTS)
+def test_a_packed_batch_in_the_network_dtype_is_returned_as_it_is(model, dataset, field, layout):
+    spec = model_spec(model, dataset, field)
+    assert spec.packed_shape == layout
+    packed = np.random.default_rng(5).random((3, *layout), dtype=np.float32)
+    assert prepare_images(spec, packed, np.float32) is packed
+    assert build_network(spec, seed=0).prepare_input(packed).data is packed
+
+
+@pytest.mark.parametrize("source", [np.float64, np.uint8])
+@pytest.mark.parametrize("model, dataset, field, layout", LAYOUTS)
+def test_a_packed_batch_in_another_dtype_is_cast(model, dataset, field, layout, source):
+    spec = model_spec(model, dataset, field)
+    packed = np.random.default_rng(6).integers(0, 256, (3, *spec.packed_shape)).astype(source)
+    got = prepare_images(spec, packed, np.float32)
+    want = scale_pixels(packed) if source == np.uint8 else packed.astype(np.float32)
+    assert got.dtype == np.float32 and got.shape == (3, *layout)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model, dataset, field, layout", LAYOUTS)
+def test_a_batch_in_neither_layout_raises(model, dataset, field, layout):
+    spec = model_spec(model, dataset, field)
+    accepted = re.escape(f"[N,C,H,W] images or packed [N,{','.join(map(str, layout))}]")
+    for shape in [(2, 783), (2, 28, 28), (2, 4, 1024), (2, *layout[1:])]:
+        with pytest.raises(DimensionError, match=accepted):
+            prepare_images(spec, np.zeros(shape, dtype=np.float32), np.float32)
 
 
 def test_count_parameters_empty_network():
