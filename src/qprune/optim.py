@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DimensionError, StateError
 
+FLUSH_EVERY = 64  # steps between flushes of moment entries that would decay into subnormals
+
 
 class Adam:
     """Standard Adam with bias correction.
@@ -25,6 +27,14 @@ class Adam:
     ``v = b2*v + (1-b2)*(g*g)``, ``p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``,
     so results are bit-identical to that expression, in the parameter's
     dtype.  ``.grad`` is read, never written into, and reset to ``None``.
+
+    A dead ReLU unit's zero gradients decay its moments into float32
+    subnormals, where arithmetic is several times slower.  So every
+    ``FLUSH_EVERY`` steps the entries of ``m`` below ``tiny / (beta1**64 *
+    min(lr, 1))`` and of ``v`` below ``tiny / beta2**64`` are set to +0, which
+    keeps every other entry, and ``lr * (m/bc1)``, normal until the next flush.
+    A flushed ``m`` entry would have moved its weight by under 1e-27, and a
+    flushed ``v`` entry leaves ``sqrt(v/bc2) + eps`` unchanged.
     """
 
     def __init__(
@@ -54,6 +64,8 @@ class Adam:
         for m in self.m:
             longest[m.dtype] = max(longest.get(m.dtype, 0), m.size)
         flat = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in longest.items()}
+        for dt, (_, s2) in flat.items():  # a flush's flags live in the second buffer's bytes
+            flat[dt] += (s2.view(np.bool_),)
         self._scratch = [
             tuple(buf[: m.size].reshape(m.shape) for buf in flat[m.dtype]) for m in self.m
         ]
@@ -63,7 +75,8 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for p, pm, m, v, (s1, s2) in zip(self.params, self.masks, self.m, self.v, self._scratch):
+        flush = self.t % FLUSH_EVERY == 0
+        for p, pm, m, v, (s1, s2, below) in zip(self.params, self.masks, self.m, self.v, self._scratch):
             t = p.tensor
             g = t.grad
             if g is None:
@@ -94,3 +107,9 @@ class Adam:
             update /= denom
             t.data -= update
             t.grad = None
+            if flush:
+                tiny = np.finfo(m.dtype).tiny
+                floors = tiny / b1**FLUSH_EVERY / min(self.lr, 1.0), tiny / b2**FLUSH_EVERY
+                for moment, floor in zip((m, v), floors):
+                    np.less(np.abs(moment, out=s1), floor, out=below)
+                    np.copyto(moment, 0, where=below)

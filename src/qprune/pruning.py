@@ -36,7 +36,7 @@ class RoundResult:
 
 
 def capture_snapshot(net: Network) -> dict[str, np.ndarray]:
-    """Copy of every parameter tensor at initialization (theta_0), by name."""
+    """Copy of every parameter tensor, by name: theta_0 when taken at initialization."""
     return {p.name: p.tensor.data.copy() for p in net.parameters()}
 
 
@@ -84,7 +84,7 @@ def global_magnitude_prune(net: Network, rate: float) -> None:
 
 
 def rewind(net: Network, snapshot: dict[str, np.ndarray]) -> Network:
-    """Reset kept weights (and all biases) to theta_0; pruned entries to 0."""
+    """Reset kept weights (and all biases) to a snapshot (theta_0 in a ladder); pruned entries to 0."""
     names = {p.name for p in net.parameters()}
     if set(snapshot) != names:
         raise StateError("snapshot does not cover the network's parameter registry")

@@ -17,6 +17,7 @@ from .data import Dataset
 from .errors import NumericalError
 from .models import Network
 from .optim import Adam
+from .pruning import capture_snapshot, rewind
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
 EVAL_EVERY_STEPS = 100  # early-stopping validation cadence
@@ -128,30 +129,6 @@ def backward_batch(net: Network, replicas: list[Network], images: np.ndarray, la
     return loss
 
 
-class EarlyStopMonitor:
-    """Stops after ``patience`` consecutive evaluations without a new
-    strict minimum of the validation loss."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best: float = np.inf
-        self.best_index: int = -1
-        self.since_best: int = 0
-        self.evaluations: int = 0
-
-    def update(self, loss: float) -> bool:
-        """Feed one evaluation; returns True when training should stop."""
-        index = self.evaluations
-        self.evaluations += 1
-        if loss < self.best:
-            self.best = loss
-            self.best_index = index
-            self.since_best = 0
-        else:
-            self.since_best += 1
-        return self.since_best >= self.patience
-
-
 @dataclass
 class TrainRecord:
     epoch_test_accuracy: list[float] = field(default_factory=list)
@@ -224,8 +201,8 @@ def train(
 
     With a ``patience`` (early stopping) the validation loss is evaluated
     every ``EVAL_EVERY_STEPS`` optimizer steps; training stops after
-    ``patience`` evaluations without a new minimum and the parameters are
-    restored to the best evaluation's checkpoint (also at normal completion).
+    ``patience`` evaluations in a row without a new strict minimum, and the
+    parameters are restored to the best evaluation's (also at normal completion).
     """
     if patience is not None and validation_data is None:
         raise ValueError("early stopping requires a validation split")
@@ -233,8 +210,7 @@ def train(
     opt = Adam(net.parameters(), lr=lr)
     shards = shard_count(net)
     replicas = [replica(net) for _ in range(shards)] if shards > 1 else []
-    monitor = EarlyStopMonitor(patience) if patience is not None else None
-    best_state: Optional[dict[str, np.ndarray]] = None
+    best_loss, since_best, best_state = np.inf, 0, None
 
     n = len(data)
     for epoch in range(epochs):
@@ -246,13 +222,14 @@ def train(
                 raise NumericalError(f"non-finite loss {loss} at epoch {epoch} step {record.steps}")
             opt.step()
             record.steps += 1
-            if monitor is not None and record.steps % EVAL_EVERY_STEPS == 0:
+            if patience is not None and record.steps % EVAL_EVERY_STEPS == 0:
                 val_loss = evaluate_loss(net, validation_data)
-                improved_index = monitor.best_index
-                should_stop = monitor.update(val_loss)
-                if monitor.best_index != improved_index:  # new minimum
-                    best_state = {p.name: p.tensor.data.copy() for p in net.parameters()}
-                if should_stop:
+                if val_loss < best_loss:  # a new strict minimum
+                    best_loss, since_best, best_state = val_loss, 0, capture_snapshot(net)
+                    record.best_eval_index = record.steps // EVAL_EVERY_STEPS - 1
+                else:
+                    since_best += 1
+                if since_best >= patience:
                     record.stopped_early = True
                     break
         if record.stopped_early:
@@ -260,9 +237,6 @@ def train(
         if test_data is not None:
             record.epoch_test_accuracy.append(evaluate_accuracy(net, test_data))
 
-    if monitor is not None:
-        record.best_eval_index = monitor.best_index
-        if best_state is not None:
-            for p in net.parameters():
-                p.tensor.data = best_state[p.name]
+    if best_state is not None:
+        rewind(net, best_state)
     return record

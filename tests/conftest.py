@@ -9,6 +9,8 @@ import pytest
 
 import qprune.training as training
 from qprune.data import Dataset
+from qprune.models import build_network, model_spec
+from qprune.pruning import capture_snapshot
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 DATA_ENV = "QPRUNE_DATA"
@@ -122,3 +124,26 @@ def openblas_at_two_threads(monkeypatch):
     put(2)  # a count other than the shards' 1, which they must restore
     yield
     put(found)
+
+
+@pytest.fixture
+def scripted_early_stop(monkeypatch):
+    """``run(losses, patience)`` early-stops a lenet12 ``train`` call that
+    evaluates after every step and reads its validation losses from
+    ``losses``; returns the record, the parameters at each evaluation and
+    the parameters ``train`` left."""
+    def run(losses, patience=10):
+        stream, seen = iter(losses), []
+
+        def scripted_loss(net, data):
+            seen.append(capture_snapshot(net))
+            return next(stream)
+
+        monkeypatch.setattr(training, "EVAL_EVERY_STEPS", 1)
+        monkeypatch.setattr(training, "evaluate_loss", scripted_loss)
+        data = synthetic_dataset(n=10, seed=11)
+        net = build_network(model_spec("lenet12", "mnist", "real"), seed=0)
+        record = training.train(net, data, np.random.default_rng(0), epochs=len(losses), batch_size=10, lr=1e-2,
+                                patience=patience, validation_data=data)
+        return record, seen, capture_snapshot(net)
+    return run

@@ -26,7 +26,7 @@ from qprune.pruning import (
     rewind,
     sparsity,
 )
-from qprune.training import EarlyStopMonitor, evaluate_accuracy, train
+from qprune.training import evaluate_accuracy, train
 from qprune.verify import (
     exact_count_report,
     gradient_check_all,
@@ -279,27 +279,27 @@ def test_criterion_8c_conv2_parameter_ratio():
 # 9. early stopping
 
 
-def test_criterion_9_scripted_early_stop_streams():
+def test_criterion_9_scripted_early_stop_streams(scripted_early_stop):
     # decreasing losses never stop
-    m = EarlyStopMonitor(patience=10)
-    assert not any(m.update(1.0 / (i + 1)) for i in range(40))
+    rec, _, _ = scripted_early_stop([1.0 / (i + 1) for i in range(40)])
+    assert not rec.stopped_early and rec.steps == 40
 
     # minimum at index 0, ten non-improvements stop at the 11th evaluation
-    m = EarlyStopMonitor(patience=10)
-    stops = [m.update(1.0)] + [m.update(1.0 + 0.01 * i) for i in range(10)]
-    first_stop = stops.index(True)
-    assert first_stop == 10 and m.best_index == 0
+    rec, _, _ = scripted_early_stop([1.0] + [1.0 + 0.01 * i for i in range(30)])
+    assert rec.stopped_early and rec.steps == 11 and rec.best_eval_index == 0
 
     # noisy stream with a strict minimum at position k stops at k + patience
+    # and restores the parameters of evaluation k
     rng = np.random.default_rng(1)
     k = 13
     losses = list(2.0 + 0.1 * rng.random(k)) + [0.5] + list(1.0 + 0.1 * rng.random(30))
-    m = EarlyStopMonitor(patience=10)
-    stop_at = next(i for i, loss in enumerate(losses) if m.update(loss))
+    rec, seen, final = scripted_early_stop(losses)
+    stop_at = rec.steps - 1  # one evaluation per step
+    restored = all(np.array_equal(final[name], seen[k][name]) for name in final)
     report(
         "criterion-9 scripted early-stop streams",
-        stop_at == k + 10 and m.best_index == k,
-        f"stop at evaluation {stop_at} = minimum index {k} + patience 10",
+        rec.stopped_early and stop_at == k + 10 and rec.best_eval_index == k and restored,
+        f"stop at evaluation {stop_at} = minimum index {k} + patience 10; evaluation {k}'s parameters restored",
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 import ops
 from qprune.errors import DimensionError, StateError
 from qprune.layers import Param
-from qprune.optim import Adam
+from qprune.optim import FLUSH_EVERY, Adam
 from qprune.tensor import Tape, Tensor
 
 
@@ -210,13 +210,36 @@ def test_step_allocates_less_than_one_parameter(masked):
     p = Param("w", Tensor(rng.standard_normal((256, 64)).astype(np.float32), requires_grad=True), True)
     p.mask = (rng.random((256, 64)) < 0.5).astype(np.uint8) if masked else None
     opt = Adam([p], lr=0.01)
-    p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
-    opt.step()
-    p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
-    tracemalloc.start()
-    try:
+    for traced in (2, FLUSH_EVERY):  # the second step, and the first that flushes the moments
+        while opt.t < traced - 1:
+            p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
+            opt.step()
+        p.tensor.grad = rng.standard_normal((256, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.tensor.data.nbytes, f"step {opt.t} allocated {peak} bytes"
+
+
+def test_moments_of_a_dead_unit_never_go_subnormal():
+    # A dead ReLU unit's weights get zero gradients, so beta1 decays their m
+    # into float32 subnormals after ~800 steps, where arithmetic is slow.
+    rng = np.random.default_rng(25)
+    data = rng.standard_normal((784, 300)).astype(np.float32)
+    p = Param("w", Tensor(data.copy(), requires_grad=True), True)
+    opt = Adam([p], lr=1.2e-3)
+    ref = AllocatingAdam([data], lr=1.2e-3)
+    zero = np.zeros_like(data)
+    for step in range(905):
+        g = rng.standard_normal(data.shape).astype(np.float32) if step < 5 else zero
+        p.tensor.grad = g
         opt.step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < p.tensor.data.nbytes, f"a step allocated {peak} bytes"
+        ref.step([g])
+    tiny = np.finfo(np.float32).tiny
+    for name, moment in (("m", opt.m[0]), ("v", opt.v[0])):
+        subnormal = int(np.count_nonzero((moment != 0) & (np.abs(moment) < tiny)))
+        assert subnormal == 0, f"{subnormal} entries of {name} are subnormal"
+    assert p.tensor.data.tobytes() == ref.data[0].tobytes()

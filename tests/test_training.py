@@ -19,7 +19,6 @@ from qprune.pruning import capture_snapshot, global_magnitude_prune, rewind
 from qprune.tensor import Tape, softmax_cross_entropy
 from qprune.training import (
     EVAL_BATCH_BYTES,
-    EarlyStopMonitor,
     backward_batch,
     eval_batch_size,
     evaluate_accuracy,
@@ -30,35 +29,39 @@ from qprune.training import (
 )
 
 
-def test_monitor_never_stops_on_decreasing_losses():
-    m = EarlyStopMonitor(patience=10)
-    for i in range(50):
-        assert not m.update(1.0 / (i + 1))
-    assert m.best_index == 49
+def assert_same_parameters(a, b):
+    assert a.keys() == b.keys()
+    for name in a:
+        np.testing.assert_array_equal(a[name], b[name])
 
 
-def test_monitor_stops_at_eleventh_evaluation():
-    m = EarlyStopMonitor(patience=10)
-    assert not m.update(1.0)
-    stops = [m.update(1.0) for _ in range(10)]  # never strictly below the minimum
-    assert stops == [False] * 9 + [True]
-    assert m.best_index == 0
-    assert m.evaluations == 11
+def test_early_stop_never_stops_on_decreasing_losses(scripted_early_stop):
+    rec, seen, final = scripted_early_stop([1.0 / (i + 1) for i in range(50)])
+    assert not rec.stopped_early
+    assert rec.steps == 50 and len(seen) == 50
+    assert rec.best_eval_index == 49
+    assert_same_parameters(final, seen[49])
 
 
-def test_monitor_minimum_at_position_k():
+def test_early_stop_stops_at_eleventh_evaluation(scripted_early_stop):
+    rec, seen, final = scripted_early_stop([1.0] * 30)  # never strictly below the minimum
+    assert rec.stopped_early
+    assert len(seen) == 11 and rec.steps == 11
+    assert rec.best_eval_index == 0
+    assert_same_parameters(final, seen[0])
+
+
+def test_early_stop_restores_the_minimum_at_position_k(scripted_early_stop):
     # scripted stream: global minimum at index k, never improved afterwards
     k = 7
     losses = [2.0 - 0.1 * i for i in range(k + 1)]  # decreasing to index k
     losses += [losses[-1] + 0.05] * 20
-    m = EarlyStopMonitor(patience=10)
-    stop_at = None
-    for i, loss in enumerate(losses):
-        if m.update(loss):
-            stop_at = i
-            break
-    assert m.best_index == k
-    assert stop_at == k + 10
+    rec, seen, final = scripted_early_stop(losses)
+    assert rec.stopped_early
+    assert rec.best_eval_index == k
+    assert len(seen) == k + 11  # stopped at evaluation k + 10
+    assert_same_parameters(final, seen[k])
+    assert any(not np.array_equal(final[n], seen[-1][n]) for n in final)  # the last step's parameters were replaced
 
 
 def test_training_reduces_loss_on_learnable_data():
