@@ -7,7 +7,7 @@ Subcommands:
 * ``verify`` -- property/oracle self-checks (Hamilton equivalence, layer
   oracles, gradients, sharded gradients, parameter counts); pass/fail each.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 config error (bad flags too), 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,10 +24,15 @@ def _default(name: str):
     return harness.ExperimentConfig.__dataclass_fields__[name].default
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 1, not argparse's 2
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """Each ``run`` flag's dest is the ``ExperimentConfig`` field it sets;
     a flag left out stays None, which keeps the config's default."""
-    parser = argparse.ArgumentParser(prog="qprune")
+    parser = _Parser(prog="qprune")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a training + pruning experiment")
@@ -42,9 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=f"per-iteration prune fraction (default {_default('prune_rate')})")
     run.add_argument("--stop-threshold", type=float,
                      help=f"accuracy stop threshold (default {_default('stop_threshold')})")
-    run.add_argument("--early-stop", action="store_true", help="stop on plateaued validation loss")
-    run.add_argument("--patience", type=int,
-                     help=f"early-stop patience in evaluations (default {_default('patience')})")
+    run.add_argument("--early-stop", dest="patience", type=int, nargs="?", const=10, metavar="PATIENCE",
+                     help="stop after PATIENCE validation evaluations without a new minimum (default %(const)s)")
     run.add_argument("--seed", dest="base_seed", type=int, help="base seed; trial i uses seed+i")
     run.add_argument("--data", dest="data_dir", help="dataset directory")
     run.add_argument("--out", dest="out_dir", help="output directory")
@@ -88,8 +92,8 @@ def _cmd_verify() -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_verify()

@@ -19,7 +19,7 @@ from . import __version__
 from .data import Dataset, load_cifar, load_mnist, split_train_validation
 from .errors import ConfigError, NumericalError
 from .models import ModelSpec, build_network, count_parameters, model_spec, prepare_images
-from .pruning import RoundResult, iterative_lottery
+from .pruning import Ladder, capture_snapshot, iterative_lottery
 from .training import blas_threads, evaluate_accuracy, shard_count, train
 
 VALIDATION_SIZE = 5000
@@ -42,8 +42,7 @@ class ExperimentConfig:
     trials: int = 5
     prune_rate: float = 0.2
     stop_threshold: float = 0.3
-    early_stop: bool = False
-    patience: int = 10
+    patience: Optional[int] = None  # early stopping's patience in validation evaluations; None = off
     base_seed: int = 0
     data_dir: str = "data"
     out_dir: str = "results"
@@ -92,24 +91,11 @@ class ExperimentConfig:
             raise ConfigError(f"train subset must be >= 0, got {self.train_subset}")
         if self.rounds is not None and self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
-        if self.patience < 1:
+        if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
 
     def spec(self) -> ModelSpec:
         return model_spec(self.model, self.dataset, self.field)
-
-
-@dataclass
-class TrialResult:
-    seed: int
-    curve: list[float] = field(default_factory=list)  # dense test accuracy per epoch
-    rounds: list[RoundResult] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    error: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
 
 
 @dataclass
@@ -120,7 +106,7 @@ class AggregateResult:
     curve_stats: list[tuple[int, float, float, int]]
     # (sparsity, mean accuracy, std, n trials, real-relative sparsity)
     sweep_stats: list[tuple[float, float, float, int, float]]
-    trials: list[TrialResult]
+    trials: list[Ladder]
     failures: int
     wall_seconds: float
     heap_resident: bool = False  # what keep_heap_resident returned for this run
@@ -191,7 +177,7 @@ def load_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         )
     if config.train_subset:
         train_set = train_set.subset(config.train_subset)
-    if config.early_stop and _validation_size(len(train_set)) >= len(train_set):
+    if config.patience is not None and _validation_size(len(train_set)) >= len(train_set):
         raise ConfigError(
             f"early stopping needs at least 2 training images for a validation split, got {len(train_set)}"
         )
@@ -209,7 +195,7 @@ def _data_memory(config: ExperimentConfig, train_set: Dataset, test_set: Dataset
     """``Dataset.memory()`` of each split; early stopping adds the packed
     validation split each trial holds."""
     memory = {"train": train_set.memory(), "test": test_set.memory()}
-    if config.early_stop:
+    if config.patience is not None:
         n = _validation_size(len(train_set))
         one = pack_split(config.spec(), train_set.subset(1)).images
         memory["validation"] = {"images": n, "dtype": str(one.dtype), "mb": round(n * one.nbytes / 1e6, 3)}
@@ -221,56 +207,48 @@ def _validation_size(n_train: int) -> int:
     return VALIDATION_SIZE if n_train > 5 * VALIDATION_SIZE else max(1, n_train // 5)
 
 
-def run_trial(
-    config: ExperimentConfig,
-    seed: int,
-    datasets: Optional[tuple[Dataset, Dataset]] = None,
-) -> TrialResult:
+def run_trial(config: ExperimentConfig, seed: int, datasets: tuple[Dataset, Dataset]) -> Ladder:
     """One fully deterministic trial: build, train, pruning sweep.
 
     The seed drives initialization, batch shuffling, and the validation
-    split.  Returns a failed record (``error`` set) on numerical failure,
+    split.  Returns a failed ladder (``error`` set) on numerical failure,
     which keeps the levels finished before it.
     """
     started = time.monotonic()
-    if datasets is None:
-        datasets = load_datasets(config)
-    train_full, test_set = datasets
-    result = TrialResult(seed=seed)
-    rng = np.random.default_rng(seed)
-
+    train_set, test_set = datasets
     validation = None
-    train_set = train_full
-    if config.early_stop:
-        vs = _validation_size(len(train_full))
-        train_set, validation = split_train_validation(train_full, vs, seed)
+    if config.patience is not None:
+        train_set, validation = split_train_validation(train_set, _validation_size(len(train_set)), seed)
         validation = pack_split(config.spec(), validation)  # read whole every EVAL_EVERY_STEPS steps
-
+    rng = np.random.default_rng(seed)
     net = build_network(config.spec(), rng=rng)
+    ladder = Ladder(seed, net, capture_snapshot(net), rng)
 
-    def train_fn(network):
-        record = train(
-            network, train_set, rng, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
-            patience=config.patience if config.early_stop else None,
-            test_data=None if result.rounds else test_set, validation_data=validation,
-        )
-        if not result.rounds:  # the dense level's curve is the training curve
-            result.curve = record.epoch_test_accuracy
+    def train_fn(trial: Ladder) -> list[float]:  # the dense level's curve is the training curve
+        return train(
+            trial.net, train_set, trial.rng, epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
+            patience=config.patience, test_data=None if trial.rounds else test_set, validation_data=validation,
+        ).epoch_test_accuracy
 
     try:
         iterative_lottery(
-            net, train_fn, lambda network: evaluate_accuracy(network, test_set), result.rounds,
+            ladder, train_fn, lambda network: evaluate_accuracy(network, test_set),
             rate=config.prune_rate, stop_threshold=config.stop_threshold, max_rounds=config.rounds,
         )
     except NumericalError as e:
-        result.error = f"{type(e).__name__}: {e}"
-    result.wall_seconds = time.monotonic() - started
-    return result
+        ladder.error = f"{type(e).__name__}: {e}"
+    ladder.wall_seconds = time.monotonic() - started
+    return ladder
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())
+
+
+def _by_index(series: list[list]) -> list[list]:
+    """For each index i, entry i of every series that reached it."""
+    return [[s[i] for s in series if i < len(s)] for i in range(max(map(len, series), default=0))]
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateResult:
@@ -291,21 +269,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateResult:
         trials = [run_trial(config, s, datasets) for s in seeds]
 
     ok = [t for t in trials if not t.failed]
-    curve_stats = []
-    for epoch in range(max((len(t.curve) for t in ok), default=0)):
-        vals = [t.curve[epoch] for t in ok if epoch < len(t.curve)]
-        mean, std = _mean_std(vals)
-        curve_stats.append((epoch, mean, std, len(vals)))
-
+    curve_stats = [(epoch, *_mean_std(vals), len(vals)) for epoch, vals in enumerate(_by_index([t.curve for t in ok]))]
     # The real twin's prunable weight count: the real-relative sparsity axis.
     real = build_network(model_spec(config.model, config.dataset, "real"), seed=0)
     real_total = count_parameters(real.prunable_parameters())
     sweep_stats = []
-    for level in range(max((len(t.rounds) for t in ok), default=0)):
-        rounds = [t.rounds[level] for t in ok if level < len(t.rounds)]
-        vals = [r.accuracy for r in rounds]
-        mean, std = _mean_std(vals)
-        sweep_stats.append((rounds[0].sparsity, mean, std, len(vals), rounds[0].kept / real_total))
+    for rounds in _by_index([t.rounds for t in ok]):
+        mean, std = _mean_std([r.accuracy for r in rounds])
+        sweep_stats.append((rounds[0].sparsity, mean, std, len(rounds), rounds[0].kept / real_total))
 
     return AggregateResult(
         config=config,

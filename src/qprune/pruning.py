@@ -9,15 +9,16 @@ no whole weight is left to prune.
 
 Each prunable parameter carries its keep-mask (``Param.mask``, None while
 dense): ``global_magnitude_prune`` sets it, ``rewind`` and ``Adam.step`` apply it.
+A ``Ladder`` holds the rest of one trial's state, and ``iterative_lottery``
+advances it level by level.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,6 +34,28 @@ class RoundResult:
     sparsity: float
     accuracy: float
     kept: int
+
+
+@dataclass(eq=False)
+class Ladder:
+    """One trial's lottery state: the network (its masks on ``Param.mask``),
+    theta_0, the trial's generator, the finished levels (the dense one
+    first), the dense level's per-epoch test accuracy and the run of
+    pruned levels below the stop threshold."""
+
+    seed: int
+    net: Network
+    theta0: dict[str, np.ndarray]
+    rng: np.random.Generator
+    rounds: list[RoundResult] = field(default_factory=list)
+    curve: list[float] = field(default_factory=list)
+    failures: int = 0
+    wall_seconds: float = 0.0
+    error: Optional[str] = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 def capture_snapshot(net: Network) -> dict[str, np.ndarray]:
@@ -101,39 +124,42 @@ def rewind(net: Network, snapshot: dict[str, np.ndarray]) -> Network:
 
 
 def iterative_lottery(
-    net: Network,
-    train_fn: Callable[[Network], None],
+    ladder: Ladder,
+    train_fn: Callable[[Ladder], list[float]],
     eval_fn: Callable[[Network], float],
-    results: list[RoundResult],
     *,
     rate: float,
     stop_threshold: float,
     max_rounds: int | None = None,
 ) -> None:
-    """Run the full iterative magnitude-pruning loop on a dense network (no
-    prunable parameter has a mask yet; else ``StateError``).
+    """Run the iterative magnitude-pruning loop on a ladder that starts
+    from a dense network (no prunable parameter has a mask yet; else
+    ``StateError``).
 
-    ``train_fn(net)`` trains in place for the full budget;
-    ``eval_fn(net)`` returns test accuracy.  Reported accuracy at each
+    ``train_fn(ladder)`` trains ``ladder.net`` in place for the full budget
+    and returns its per-epoch test accuracy, which is kept for the dense
+    level; ``eval_fn(net)`` returns test accuracy.  Reported accuracy at each
     sparsity level is that of the rewound-and-retrained model.  Each
-    finished level is appended to ``results``, the dense model first, so
-    the levels before an exception stay with the caller.
+    finished level is appended to ``ladder.rounds`` as it ends, so the
+    levels before an exception stay on the ladder.
     """
     if not (0.0 < rate < 1.0):
         raise ValueError(f"prune rate must lie in (0,1), got {rate}")
+    net = ladder.net
     if any(p.mask is not None for p in net.prunable_parameters()):
         raise StateError("a ladder starts from a dense network; this one is already pruned")
-    snapshot = capture_snapshot(net)
-    failures = 0  # successive pruned levels below the threshold
-    for level in itertools.count():
-        train_fn(net)
+    while True:
+        curve = train_fn(ladder)
+        if not ladder.rounds:
+            ladder.curve = curve
         acc = eval_fn(net)
         kept = kept_count(net)
-        results.append(RoundResult(sparsity(net), acc, kept))
-        failures = failures + 1 if level and acc < stop_threshold else 0
-        if failures == CONSECUTIVE_FAILURES or level == max_rounds:
+        ladder.rounds.append(RoundResult(sparsity(net), acc, kept))
+        level = len(ladder.rounds) - 1
+        ladder.failures = ladder.failures + 1 if level and acc < stop_threshold else 0
+        if ladder.failures == CONSECUTIVE_FAILURES or level == max_rounds:
             return
         if prune_count(rate, kept) < 1:  # no whole weight left to prune
             return
         global_magnitude_prune(net, rate)
-        rewind(net, snapshot)
+        rewind(net, ladder.theta0)

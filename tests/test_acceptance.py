@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qprune.data import load_cifar
-from qprune.harness import ExperimentConfig, emit_results, run_experiment, run_trial
+from qprune.harness import ExperimentConfig, emit_results, load_datasets, run_experiment, run_trial
 from qprune.layers import Linear
 from qprune.models import Network, build_network, count_parameters, model_spec
 from qprune.pruning import (
@@ -162,7 +162,7 @@ def test_criterion_6_mnist_dense_accuracy(mnist_dir):
         "lenet300", "mnist", "real", trials=1, rounds=0, data_dir=mnist_dir
     )
     assert (config.epochs, config.batch_size) == (40, 60) and config.lr == pytest.approx(1.2e-3)
-    trial = run_trial(config, seed=0)
+    trial = run_trial(config, seed=0, datasets=load_datasets(config))
     assert not trial.failed, trial.error
     acc = trial.rounds[0].accuracy
     elapsed = time.time() - t0
@@ -183,7 +183,7 @@ def test_criterion_7_quaternion_lottery_ticket(mnist_dir):
     config = ExperimentConfig.from_model_dataset(
         "lenet300", "mnist", "quat", trials=1, rounds=3, data_dir=mnist_dir
     )
-    trial = run_trial(config, seed=0)
+    trial = run_trial(config, seed=0, datasets=load_datasets(config))
     assert not trial.failed, trial.error
     dense_acc = trial.rounds[0].accuracy
     final = trial.rounds[3]
@@ -308,9 +308,9 @@ def test_criterion_9_mnist_early_stop_run(mnist_dir):
     t0 = time.time()
     config = ExperimentConfig.from_model_dataset(
         "lenet12", "mnist", "real",
-        trials=1, rounds=0, early_stop=True, data_dir=mnist_dir,
+        trials=1, rounds=0, patience=10, data_dir=mnist_dir,
     )
-    trial = run_trial(config, seed=0)
+    trial = run_trial(config, seed=0, datasets=load_datasets(config))
     assert not trial.failed, trial.error
     # full budget would be 40 epochs x ceil(55000/60) steps
     full_budget = 40 * int(np.ceil(55000 / 60))

@@ -14,8 +14,24 @@ from qprune.harness import ExperimentConfig
 
 
 def test_run_requires_valid_model(capsys):
-    with pytest.raises(SystemExit):  # argparse rejects unknown choices
-        main(["run", "--model", "vgg16", "--dataset", "mnist", "--field", "real"])
+    rc = main(["run", "--model", "vgg16", "--dataset", "mnist", "--field", "real"])
+    assert rc == 1  # a usage error is a config error, not argparse's exit 2 (a data error here)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "vgg16" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--model", "lenet12", "--dataset", "mnist", "--field", "real", "--epochs", "x"], "--epochs"),
+        (["--dataset", "mnist", "--field", "real"], "--model"),
+        (["--model", "lenet12", "--dataset", "mnist", "--field", "real", "--early-stop", "x"], "--early-stop"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(["run", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 def test_bad_combo_exits_1(capsys):
@@ -29,7 +45,7 @@ def test_bad_combo_exits_1(capsys):
     [
         ("--train-subset", "-500", "train subset"),
         ("--rounds", "-3", "rounds"),
-        ("--patience", "0", "patience"),
+        ("--early-stop", "0", "patience"),
         ("--lr", "nan", "learning rate"),
         ("--lr", "inf", "learning rate"),
         ("--lr", "0", "learning rate"),
@@ -67,17 +83,16 @@ def test_readme_run_synopsis_lists_every_run_flag():
 
 def test_every_run_flag_reaches_the_config(tmp_path, monkeypatch):
     values = dict(
-        trials=3, epochs=2, batch_size=7, lr=0.5, prune_rate=0.3, stop_threshold=0.4, early_stop=True,
+        trials=3, epochs=2, batch_size=7, lr=0.5, prune_rate=0.3, stop_threshold=0.4,
         patience=4, base_seed=9, data_dir=str(tmp_path / "d"), out_dir=str(tmp_path / "o"), workers=2,
         rounds=5, train_subset=11,
     )
     flags = {a.dest: a.option_strings[0] for a in run_parser()._actions if a.option_strings}
-    argv = ["run", "--model", "lenet12", "--dataset", "mnist", "--field", "quat", "--early-stop"]
+    argv = ["run", "--model", "lenet12", "--dataset", "mnist", "--field", "quat"]
     defaults = ExperimentConfig.from_model_dataset("lenet12", "mnist", "quat")
     for name, value in values.items():
         assert getattr(defaults, name) != value
-        if name != "early_stop":
-            argv += [flags[name], str(value)]
+        argv += [flags[name], str(value)]
     configs = []
 
     def record(config):
@@ -242,9 +257,15 @@ def test_early_stop_flag_parses(tmp_path):
     rc = main([
         "run", "--model", "lenet12", "--dataset", "mnist", "--field", "real",
         "--data", str(data_dir), "--out", str(out_dir),
-        "--trials", "1", "--epochs", "1", "--rounds", "1", "--early-stop", "--patience", "2",
+        "--trials", "1", "--epochs", "1", "--rounds", "1", "--early-stop", "2",
     ])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, patience", [([], None), (["--early-stop"], 10), (["--early-stop", "3"], 3)])
+def test_early_stop_flag_sets_the_patience(flags, patience):
+    args = _build_parser().parse_args(["run", "--model", "lenet12", "--dataset", "mnist", "--field", "real", *flags])
+    assert args.patience == patience
 
 
 def test_verify_subcommand_passes(capsys):

@@ -58,7 +58,7 @@ def test_defaults_match_training_table():
         assert cfg.trials == 5
         assert cfg.prune_rate == 0.2
         assert cfg.stop_threshold == 0.3
-        assert cfg.patience == 10
+        assert cfg.patience is None  # early stopping is off
 
 
 def test_invalid_configs_rejected():
@@ -223,11 +223,11 @@ def test_u8_splits_give_the_csv_bytes_of_their_scaled_copies(tmp_path, monkeypat
     monkeypatch.setattr(training, "EVAL_EVERY_STEPS", 1)
     if dataset == "mnist":
         make_mnist_files(tmp_path / "data", n_train=120, n_test=30)
-        config = tiny_config(field="quat", data_dir=str(tmp_path / "data"), early_stop=True, rounds=1)
+        config = tiny_config(field="quat", data_dir=str(tmp_path / "data"), patience=10, rounds=1)
     else:
         request.getfixturevalue("openblas_at_two_threads")
         make_cifar10_files(tmp_path / "data", per_batch=8)
-        config = tiny_conv_config(tmp_path / "data", early_stop=True)
+        config = tiny_conv_config(tmp_path / "data", patience=10)
     spec = config.spec()
     evaluated = []  # per-image shape of every batch or shard evaluated
     logits = training._logits

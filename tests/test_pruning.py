@@ -7,6 +7,7 @@ from qprune.errors import StateError
 from qprune.layers import Linear
 from qprune.models import Network, count_parameters, model_spec
 from qprune.pruning import (
+    Ladder,
     capture_snapshot,
     global_magnitude_prune,
     iterative_lottery,
@@ -24,6 +25,11 @@ def make_net(sizes=((5, 4), (4, 3)), seed=0, classes=3):
     spec = model_spec("lenet12", "mnist", "real")  # spec fields unused by pruning
     layers = [Linear(i, o, rng, dtype=np.float64) for i, o in sizes]
     return Network(spec, layers, np.float64)
+
+
+def ladder_of(net, seed=0):
+    """A fresh ladder on ``net``: theta_0 is its parameters now."""
+    return Ladder(seed, net, capture_snapshot(net), np.random.default_rng(seed))
 
 
 def weight_vector(net):
@@ -59,13 +65,12 @@ def test_prune_count_at_rate_02_matches_float_floor():
 
 
 def test_lottery_ladder_at_rate_029_is_exact():
-    net = make_net(((100, 1),))
-    results = []
-    iterative_lottery(net, lambda n: None, lambda n: 1.0, results, rate=0.29, stop_threshold=0.3)
+    ladder = ladder_of(make_net(((100, 1),)))
+    iterative_lottery(ladder, lambda lad: [], lambda n: 1.0, rate=0.29, stop_threshold=0.3)
     expected = [100]
     while expected[-1] * 29 // 100 >= 1:  # stops when no whole weight is left to prune
         expected.append(expected[-1] - expected[-1] * 29 // 100)
-    assert [r.kept for r in results] == expected
+    assert [r.kept for r in ladder.rounds] == expected
 
 
 def test_unique_smallest_magnitude_is_pruned():
@@ -229,50 +234,50 @@ def test_masked_adam_training_keeps_pruned_weights_at_zero():
 
 
 def test_always_failing_threshold_stops_after_two_prune_iterations():
-    net = make_net(seed=11)
+    ladder = ladder_of(make_net(seed=11))
     calls = {"train": 0, "eval": 0}
 
-    def train_fn(network):
+    def train_fn(lad):
         calls["train"] += 1
+        return [float(calls["train"])] * 2  # a two-epoch curve that names the level
 
     def eval_fn(network):
         calls["eval"] += 1
         return 0.5  # always below a 1.1 threshold
 
-    results = []
-    iterative_lottery(net, train_fn, eval_fn, results, rate=0.2, stop_threshold=1.1)
-    assert len(results) == 3  # dense + exactly 2 pruning iterations
+    iterative_lottery(ladder, train_fn, eval_fn, rate=0.2, stop_threshold=1.1)
+    assert len(ladder.rounds) == 3  # dense + exactly 2 pruning iterations
     assert calls["train"] == 3
+    assert ladder.failures == 2
+    assert ladder.curve == [1.0, 1.0]  # the dense level's return value; the later levels' are dropped
 
 
 def test_lottery_reports_descending_sparsity_and_uses_rewound_models():
-    net = make_net(((50, 20), (20, 5)), seed=12, classes=5)
-    snap_values = weight_vector(net).copy()
-    seen_sparsities = []
+    ladder = ladder_of(make_net(((50, 20), (20, 5)), seed=12, classes=5))
 
-    def train_fn(network):
+    def train_fn(lad):
         # emulate training drift; rewind must erase it between rounds
-        for p in network.prunable_parameters():
+        for p in lad.net.prunable_parameters():
             p.tensor.data += 0.01
+        return []
 
     def eval_fn(network):
         return 1.0  # never triggers the stop rule
 
-    results = []
-    iterative_lottery(net, train_fn, eval_fn, results, rate=0.2, stop_threshold=0.3, max_rounds=4)
-    sparsities = [r.sparsity for r in results]
+    iterative_lottery(ladder, train_fn, eval_fn, rate=0.2, stop_threshold=0.3, max_rounds=4)
+    sparsities = [r.sparsity for r in ladder.rounds]
     assert sparsities[0] == 1.0
     assert all(a > b for a, b in zip(sparsities, sparsities[1:]))
     expected_kept = 50 * 20 + 20 * 5  # 1100, then floor(0.8 R) four times
     for _ in range(4):
         expected_kept -= int(0.2 * expected_kept)
-    assert results[-1].kept == expected_kept == 452
+    assert ladder.rounds[-1].kept == expected_kept == 452
 
 
 def test_lottery_validates_rate_before_training():
     calls = []
     with pytest.raises(ValueError, match="prune rate"):
-        iterative_lottery(make_net(), calls.append, calls.append, [], rate=1.2, stop_threshold=0.3)
+        iterative_lottery(ladder_of(make_net()), calls.append, calls.append, rate=1.2, stop_threshold=0.3)
     assert calls == []
 
 
@@ -281,7 +286,7 @@ def test_lottery_refuses_a_pruned_network_before_training():
     global_magnitude_prune(net, 0.2)
     calls = []
     with pytest.raises(StateError, match="dense"):
-        iterative_lottery(net, calls.append, calls.append, [], rate=0.2, stop_threshold=0.3)
+        iterative_lottery(ladder_of(net), calls.append, calls.append, rate=0.2, stop_threshold=0.3)
     assert calls == []  # train_fn never ran
 
 
